@@ -14,7 +14,8 @@ Layered public API:
 * :mod:`repro.arch` — the Prosperity accelerator simulator (PPU pipeline,
   memory system, 28 nm area/energy models).
 * :mod:`repro.engine` — batched, backend-pluggable execution engine
-  (reference / vectorized backends, content-hash forest cache).
+  (trace planner, reference / fused / sharded / compiled backends,
+  content-hash forest cache).
 * :mod:`repro.baselines` — Eyeriss, PTB, SATO, MINT, Stellar, LoAS, A100.
 * :mod:`repro.analysis` — density studies, tiling DSE, cost trade-off.
 * :mod:`repro.workloads` — the cached model x dataset evaluation grid.

@@ -48,29 +48,24 @@ def trace_prosparsity_stats(
     """Aggregate ProSparsity statistics over every workload of a trace.
 
     ``engine``, when given, must be a
-    :class:`repro.engine.ProsperityEngine`; its backend and forest cache
-    then carry the transforms (bit-identical stats, faster sweeps). An
-    engine with ``plan="trace"`` transforms the whole trace in one
-    cross-workload plan — same stats, one kernel per tile shape.
+    :class:`repro.engine.ProsperityEngine`; it then transforms the whole
+    trace in one cross-workload plan through its backend and forest
+    cache (bit-identical stats, one kernel per tile shape).
     """
     stats = ProSparsityStats()
-    if engine is not None and getattr(engine, "plan", "matrix") == "trace":
-        for result in engine.transform_trace(
+    if engine is not None:
+        results = engine.transform_trace(
             trace.workloads, tile_m, tile_k, max_tiles=max_tiles, rng=rng
-        ):
-            stats.merge(result.stats)
-        return stats
-    for workload in trace.workloads:
-        if engine is None:
-            result = transform_matrix(
+        )
+    else:
+        results = [
+            transform_matrix(
                 workload.spikes, tile_m, tile_k,
                 keep_transforms=False, max_tiles=max_tiles, rng=rng,
             )
-        else:
-            result = engine.transform_matrix(
-                workload.spikes, tile_m, tile_k,
-                keep_transforms=False, max_tiles=max_tiles, rng=rng,
-            )
+            for workload in trace.workloads
+        ]
+    for result in results:
         stats.merge(result.stats)
     return stats
 

@@ -11,6 +11,7 @@ from repro.arch.energy import area_model
 from repro.arch.ppu import MODE_BIT, MODE_PROSPERITY
 from repro.arch.simulator import ProsperitySimulator
 from repro.analysis.density import trace_prosparsity_stats
+from repro.engine.backends import DEFAULT_BACKEND
 from repro.engine.pipeline import ProsperityEngine
 from repro.snn.trace import ModelTrace
 
@@ -34,8 +35,7 @@ def _latency_ratio(
     config: ProsperityConfig,
     max_tiles: int | None,
     rng: np.random.Generator,
-    backend="reference",
-    plan: str = "matrix",
+    backend=DEFAULT_BACKEND,
 ) -> float:
     """Prosperity-vs-bit-sparsity latency on the same hardware.
 
@@ -46,7 +46,7 @@ def _latency_ratio(
     pro_cycles = 0.0
     bit_cycles = 0.0
     engine = ProsperityEngine(
-        backend=backend, tile_m=config.tile_m, tile_k=config.tile_k, plan=plan
+        backend=backend, tile_m=config.tile_m, tile_k=config.tile_k
     )
     for trace in traces:
         pro = ProsperitySimulator(
@@ -69,9 +69,8 @@ def sweep_tile_sizes(
     base_config: ProsperityConfig | None = None,
     max_tiles: int | None = 24,
     rng: np.random.Generator | None = None,
-    backend: str = "reference",
+    backend: str = DEFAULT_BACKEND,
     workers: int | None = None,
-    plan: str = "matrix",
 ) -> tuple[list[SweepPoint], list[SweepPoint]]:
     """Fig. 7's two sweeps: vary m at fixed k, and k at fixed m.
 
@@ -83,18 +82,17 @@ def sweep_tile_sizes(
     Returns ``(m_sweep, k_sweep)``. Density always falls with larger m
     (larger prefix search scope) while a middle k is optimal; area/power
     grow super-linearly with m. ``backend`` selects the transform
-    implementation (results are backend-independent; the ``fused`` and
-    ``sharded`` backends just finish the sweep faster); ``workers``
-    forwards a process count to the ``sharded`` backend; ``plan="trace"``
-    routes each configuration's transforms through the trace-level
-    planner (identical sweep points, cross-workload batching). Backends
+    implementation (results are backend-independent; only wall-clock
+    changes); ``workers`` forwards a process count to the ``sharded``
+    backend. Each configuration's transforms run through the trace-level
+    planner (cross-workload batching). Backends
     constructed here (by name) are closed before returning, so repeated
     sweeps never leak worker pools.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     base = base_config if base_config is not None else ProsperityConfig()
     base_area = area_model(base).total
-    engine = ProsperityEngine(backend=backend, workers=workers, plan=plan)
+    engine = ProsperityEngine(backend=backend, workers=workers)
     # One backend instance for the whole sweep: every per-config engine
     # below reuses it (for `sharded`, that means one process pool).
     # engine.close() below releases it only if it was built from a name
@@ -124,7 +122,7 @@ def sweep_tile_sizes(
             product_density=stats_total.product_density,
             bit_density=stats_total.bit_density,
             latency_vs_bit=_latency_ratio(
-                traces, config, max_tiles, rng, shared_backend, plan
+                traces, config, max_tiles, rng, shared_backend
             ),
             area_mm2=area,
             relative_area=area / base_area,

@@ -18,7 +18,7 @@ Configs round-trip through TOML and JSON (``from_file``/``to_file``,
 * :meth:`RunConfig.with_overrides` — dotted-key overrides with native
   values, the sweep-loop workhorse::
 
-      for backend in ("vectorized", "fused"):
+      for backend in ("reference", "fused"):
           cfg = base.with_overrides({"engine.backend": backend})
 
 * :meth:`RunConfig.with_sets` — ``"section.key=value"`` strings as the
@@ -50,6 +50,7 @@ from repro.core.prosparsity import (
     validate_tile_shape,
 )
 from repro.engine.backends import (
+    DEFAULT_BACKEND,
     available_backends,
     backend_accepts_option,
     backend_option_error,
@@ -92,12 +93,15 @@ class WorkloadConfig:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """How the ProSparsity engine executes: backend, plan, batching."""
+    """How the ProSparsity engine executes: backend, plan, cache, tiling.
 
-    backend: str = "vectorized"
+    ``plan`` only accepts ``"trace"``: every run goes through the trace
+    planner.
+    """
+
+    backend: str = DEFAULT_BACKEND
     workers: int | None = None
-    plan: str = "matrix"
-    batch: int = 8
+    plan: str = "trace"
     cache_size: int = 4096
     tile_m: int = DEFAULT_TILE_M
     tile_k: int = DEFAULT_TILE_K
@@ -324,14 +328,30 @@ def _coerce(text: str, hint) -> object:
     return text
 
 
-def _section_from_dict(name: str, cls: type, data: dict):
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(data) - set(known))
+#: Removed config keys and what replaced each; setting one fails loudly.
+_REMOVED_KEYS = {
+    ("engine", "batch"): "the trace planner batches every workload of a run "
+    "into one plan, so there is nothing to set; drop the key",
+}
+
+
+def _check_keys(name: str, cls: type, keys) -> None:
+    """Reject removed keys (naming the replacement) and unknown keys."""
+    for key in sorted(keys):
+        reason = _REMOVED_KEYS.get((name, key))
+        if reason is not None:
+            raise ValueError(f"config key {name}.{key} was removed: {reason}")
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(set(keys) - known)
     if unknown:
         raise ValueError(
             f"unknown key(s) {unknown} in config section [{name}]; "
             f"known: {sorted(known)}"
         )
+
+
+def _section_from_dict(name: str, cls: type, data: dict):
+    _check_keys(name, cls, data)
     values = {}
     hints = typing.get_type_hints(cls)
     for key, value in data.items():
@@ -415,8 +435,6 @@ class RunConfig:
             if not backend_accepts_option(engine.backend, "workers"):
                 raise backend_option_error(engine.backend, {"workers"})
         validate_plan_mode(engine.plan)
-        if engine.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {engine.batch}")
         if engine.cache_size < 0:
             raise ValueError(
                 f"cache_size must be >= 0, got {engine.cache_size}"
@@ -699,13 +717,7 @@ class RunConfig:
             if name not in updates:
                 new_sections[name] = current
                 continue
-            known = {f.name for f in fields(section_cls)}
-            unknown = sorted(set(updates[name]) - known)
-            if unknown:
-                raise ValueError(
-                    f"unknown key(s) {unknown} in config section [{name}]; "
-                    f"known: {sorted(known)}"
-                )
+            _check_keys(name, section_cls, updates[name])
             hints = typing.get_type_hints(section_cls)
             coerced = {
                 key: tuple(value)
@@ -736,11 +748,7 @@ class RunConfig:
                     f"{sorted(_SECTIONS)}, got {assignment!r}"
                 )
             section_cls = _SECTIONS[section]
+            _check_keys(section, section_cls, [key])
             hints = typing.get_type_hints(section_cls)
-            if key not in hints:
-                raise ValueError(
-                    f"unknown key {key!r} in config section [{section}]; "
-                    f"known: {sorted(hints)}"
-                )
             overrides[dotted] = _coerce(text.strip(), hints[key])
         return self.with_overrides(overrides)

@@ -161,7 +161,6 @@ def _engine_key(config: RunConfig) -> tuple:
         engine.workers,
         engine.tile_m,
         engine.tile_k,
-        engine.plan,
         engine.cache_size,
         cache.enabled,
         cache.path,
@@ -883,7 +882,6 @@ class Scheduler:
                     tile_k=engine_cfg.tile_k,
                     cache_size=engine_cfg.cache_size,
                     workers=engine_cfg.workers,
-                    plan=engine_cfg.plan,
                     backend_options=engine_backend_options(config),
                     store=store,
                 )
@@ -1173,11 +1171,9 @@ class Scheduler:
                 backend=engine.backend.name,
                 tile_m=engine.tile_m,
                 tile_k=engine.tile_k,
-                batch=handle.config.engine.batch,
                 model=trace.model,
                 dataset=trace.dataset,
                 workers=getattr(engine.backend, "workers", None),
-                plan="trace",  # coalesced batches are always trace-planned
                 planned_tiles=plan.total_tiles,
                 unique_tiles=plan.unique_tiles,
                 cache_hits=cache_hits,

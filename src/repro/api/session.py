@@ -218,7 +218,7 @@ class Session:
         scheduler uses this so many sessions (one per client config) run
         through one engine, one cache, and one sharded pool. A shared
         engine must match the config's engine section (backend name,
-        tile shape, plan mode, and — when the config pins one — worker
+        tile shape, and — when the config pins one — worker
         count); the session never closes it.
 
     The backend and engine are constructed lazily on first use and shared
@@ -253,7 +253,6 @@ class Session:
                 engine.backend.name != engine_cfg.backend
                 or engine.tile_m != engine_cfg.tile_m
                 or engine.tile_k != engine_cfg.tile_k
-                or engine.plan != engine_cfg.plan
                 # workers=None in the config means "backend default":
                 # any pool size is acceptable there.
                 or (
@@ -265,11 +264,11 @@ class Session:
                 raise ValueError(
                     "shared engine does not match the session config: engine "
                     f"is backend={engine.backend.name!r} tile="
-                    f"({engine.tile_m}, {engine.tile_k}) plan={engine.plan!r} "
+                    f"({engine.tile_m}, {engine.tile_k}) "
                     f"workers={engine_workers}, config wants "
                     f"backend={engine_cfg.backend!r} tile="
                     f"({engine_cfg.tile_m}, {engine_cfg.tile_k}) "
-                    f"plan={engine_cfg.plan!r} workers={engine_cfg.workers}"
+                    f"workers={engine_cfg.workers}"
                 )
         self._backend: Backend | None = engine.backend if engine else None
         self._engine: ProsperityEngine | None = engine
@@ -325,7 +324,6 @@ class Session:
                     tile_m=engine_cfg.tile_m,
                     tile_k=engine_cfg.tile_k,
                     cache_size=engine_cfg.cache_size,
-                    plan=engine_cfg.plan,
                     store=self._store,
                 )
             return self._engine
@@ -396,7 +394,7 @@ class Session:
             self._check_open()
             start = time.perf_counter()
             trace = self.trace()
-            report = self.engine.run(trace, batch=self.config.engine.batch)
+            report = self.engine.run(trace)
             verified = None
             if self.config.engine.verify:
                 verified = self.engine.verify_trace(trace)
@@ -446,7 +444,6 @@ class Session:
                 max_tiles=self.config.sampling.effective,
                 rng=self._rng(),
                 backend=self.backend,  # shared instance: pool reused, kept open
-                plan=self.config.engine.plan,
             )
             return SweepResult(
                 config=self.config,

@@ -27,7 +27,7 @@ from repro.arch.ppu import (
 from repro.arch.report import LayerResult, SimReport
 from repro.arch.sorter import BitonicSorter
 from repro.core.prosparsity import TILE_RECORD_FIELDS
-from repro.engine.backends import Backend
+from repro.engine.backends import DEFAULT_BACKEND, Backend
 from repro.engine.pipeline import ProsperityEngine
 from repro.snn.trace import GeMMWorkload, ModelTrace
 from repro.utils.bitops import pack_rows, popcount_rows
@@ -79,12 +79,6 @@ class ProsperitySimulator:
     workers:
         Process count forwarded to the ``sharded`` backend (``None``
         leaves the backend default; other backends reject it).
-    plan:
-        Execution-planning mode for the transform (``"matrix"`` or
-        ``"trace"``); under ``"trace"`` :meth:`simulate` transforms the
-        whole trace in one cross-workload plan instead of per workload.
-        Simulation results are identical — only wall-clock changes.
-        Ignored when a pre-built ``engine`` is given (its plan wins).
     engine:
         Pre-built :class:`ProsperityEngine` to share a forest cache
         across simulators; overrides ``backend`` when given.
@@ -96,9 +90,8 @@ class ProsperitySimulator:
         mode: str = MODE_PROSPERITY,
         max_tiles_per_workload: int | None = None,
         rng: np.random.Generator | None = None,
-        backend: str | Backend = "reference",
+        backend: str | Backend = DEFAULT_BACKEND,
         workers: int | None = None,
-        plan: str = "matrix",
         engine: ProsperityEngine | None = None,
     ):
         if mode not in MODES:
@@ -116,7 +109,6 @@ class ProsperitySimulator:
                 tile_m=config.tile_m,
                 tile_k=config.tile_k,
                 workers=workers,
-                plan=plan,
             )
         )
         self.memory = MemorySystem(config)
@@ -124,11 +116,6 @@ class ProsperitySimulator:
         self.neuron_array = NeuronArray(config)
         self.energy = EnergyModel(config)
         self.name = f"prosperity[{mode}]" if mode != MODE_PROSPERITY else "prosperity"
-
-    @property
-    def plan(self) -> str:
-        """The engine's execution-planning mode."""
-        return self.engine.plan
 
     def close(self) -> None:
         """Release engine resources (e.g. a sharded worker pool).
@@ -307,10 +294,10 @@ class ProsperitySimulator:
     def simulate(self, trace: ModelTrace) -> SimReport:
         """Simulate a full model trace.
 
-        Under ``plan="trace"`` the ProSparsity transform runs once over
-        the whole trace (cross-workload shape buckets, global content
-        dedup) instead of per workload; the per-layer records — and
-        therefore every latency/energy number — are bit-identical.
+        The ProSparsity transform runs once over the whole trace
+        (cross-workload shape buckets, global content dedup); the
+        per-layer records — and therefore every latency/energy number —
+        are bit-identical to transforming workload by workload.
         """
         report = SimReport(
             accelerator=self.name,
@@ -324,8 +311,8 @@ class ProsperitySimulator:
         return report
 
     def _trace_transforms(self, trace: ModelTrace) -> list:
-        """Whole-trace transform results when trace planning is on."""
-        if self.engine.plan != "trace" or self.mode in (MODE_DENSE, MODE_BIT):
+        """Whole-trace transform results (dense/bit modes need none)."""
+        if self.mode in (MODE_DENSE, MODE_BIT):
             return [None] * len(trace.workloads)
         return self.engine.transform_trace(
             trace.workloads,

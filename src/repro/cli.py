@@ -13,13 +13,13 @@ Examples
 ::
 
     repro density  --model vgg16 --dataset cifar100
-    repro simulate --model resnet18 --dataset cifar10 --backend vectorized
+    repro simulate --model resnet18 --dataset cifar10 --backend reference
     repro sweep    --model vgg16 --dataset cifar100
     repro tradeoff --sparsity-increase 0.1335
     repro scaling  --model vgg16 --dataset cifar10
-    repro run      --model vgg16 --backend fused --batch 8 --verify
+    repro run      --model vgg16 --backend fused --verify
     repro run      --model vgg16 --backend sharded --workers 4
-    repro run      --config run.toml --set engine.plan=trace
+    repro run      --config run.toml --set engine.cache_size=0
     repro config dump --set workload.model=lenet5 > run.toml
     repro batch    --config a.toml --config b.toml --set engine.backend=fused
     repro serve    --config serve.toml --port 8707
@@ -51,7 +51,7 @@ from repro.api import (
     StreamStalledError,
 )
 from repro.api.client import ServeClient, ServeError
-from repro.engine import PLAN_MODES, available_backends
+from repro.engine import available_backends
 from repro.engine.store import ResultStore, default_store_path
 from repro.server.protocol import RECORD_MODES
 from repro.workloads import PRESETS
@@ -77,8 +77,6 @@ _FLAG_KEYS = {
     "max_tiles": "sampling.max_tiles",
     "backend": "engine.backend",
     "workers": "engine.workers",
-    "plan": "engine.plan",
-    "batch": "engine.batch",
     "cache_size": "engine.cache_size",
     "verify": "engine.verify",
     "sparsity_increase": "tradeoff.sparsity_increase",
@@ -87,15 +85,26 @@ _FLAG_KEYS = {
     "hop": "streaming.hop",
 }
 
+#: Removed flags (kept hidden so using one names its replacement).
+_REMOVED_FLAGS = {
+    "plan": "--plan was removed: every run goes through the trace planner",
+    "batch": "--batch was removed: the trace planner batches every workload "
+    "of a run into one plan",
+}
+
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """Merge defaults < ``--config`` file < flags < ``--set`` overrides.
 
     Config errors on every surface — an unreadable/invalid ``--config``
     file, a flag value the config rejects (``--workers`` on a
-    non-sharded backend, ``--batch 0``), or a bad ``--set`` string —
-    exit with a one-line message rather than a traceback.
+    non-sharded backend, a removed flag such as ``--batch``), or a bad
+    ``--set`` string — exit with a one-line message rather than a
+    traceback.
     """
+    for attr, message in _REMOVED_FLAGS.items():
+        if getattr(args, attr, None) is not None:
+            raise SystemExit(f"repro: error: {message}")
     if getattr(args, "config", None):
         try:
             config = RunConfig.from_file(args.config)
@@ -243,8 +252,7 @@ def cmd_run(config: RunConfig, session: Session) -> str:
         rows,
         title=(
             f"engine run — {workload.model}/{workload.dataset}"
-            f" ({workload.preset}) "
-            f"backend={report.backend} batch={report.batch}"
+            f" ({workload.preset}) backend={report.backend}"
         ),
     )
     footer = (
@@ -283,12 +291,11 @@ def cmd_run(config: RunConfig, session: Session) -> str:
             else "\njit: inactive — NumPy fallback (install repro[compiled] "
             "and unset REPRO_NO_JIT for native kernels)"
         )
-    if report.plan == "trace":
-        footer += (
-            f"\nplan: trace — {report.planned_tiles} tiles -> "
-            f"{report.unique_tiles} unique "
-            f"({report.dedup_ratio:.2f}x cross-workload dedup)"
-        )
+    footer += (
+        f"\nplan: trace — {report.planned_tiles} tiles -> "
+        f"{report.unique_tiles} unique "
+        f"({report.dedup_ratio:.2f}x cross-workload dedup)"
+    )
     if report.profile:
         footer += "\nprofile: " + "  ".join(
             f"{stage}={seconds * 1e3:.1f}ms"
@@ -703,7 +710,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
         "--set", dest="sets", action="append", metavar="SECTION.KEY=VALUE",
         default=[],
         help="config override (repeatable, applied after flags), "
-        "e.g. --set engine.plan=trace",
+        "e.g. --set engine.cache_size=0",
     )
 
 
@@ -728,20 +735,14 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", default=None, choices=available_backends(),
         help="ProSparsity transform backend; results are identical, "
-        "fused/sharded are the fast tile-batched paths "
-        "(config default: vectorized)",
+        "reference is the slow oracle (config default: fused)",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
         help="process count for the sharded backend "
         "(other backends reject this option)",
     )
-    parser.add_argument(
-        "--plan", default=None, choices=PLAN_MODES,
-        help="execution planning scope: 'matrix' batches per workload, "
-        "'trace' buckets and dedups tiles across the whole trace "
-        "(config default: matrix)",
-    )
+    parser.add_argument("--plan", default=None, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -767,9 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     # and cache numbers describe the full workload.
     _add_workload_args(run, sampling=False)
     _add_backend_args(run)
-    run.add_argument("--batch", type=int, default=None,
-                     help="max layers stacked into one engine pass "
-                     "(config default: 8)")
+    run.add_argument("--batch", default=None, help=argparse.SUPPRESS)
     run.add_argument("--cache-size", type=int, default=None,
                      help="forest cache capacity in distinct tiles, 0 = off "
                      "(config default: 4096)")

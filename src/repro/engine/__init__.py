@@ -1,22 +1,21 @@
 """repro.engine — batched, backend-pluggable ProSparsity execution.
 
 The engine is the throughput layer above :mod:`repro.core`: it chooses a
-:class:`~repro.engine.backends.Backend` (``reference`` oracle, bulk
-``vectorized`` NumPy, tile-batched ``fused`` kernels, multiprocess
-``sharded`` execution, or Numba-``compiled`` native kernels with a
-transparent NumPy fallback), batches whole-network traces, and caches
-per-tile
-forests by content hash. :mod:`repro.engine.planner` lifts batching to
-trace scope (``plan="trace"``): cross-workload shape buckets, one global
-content dedup per bucket, and arena-backed buffers reused across runs.
-Every backend and plan mode is bit-identical to the core transform; the
-engine only changes *how fast* the answer arrives.
+:class:`~repro.engine.backends.Backend` (``reference`` oracle,
+tile-batched ``fused`` kernels — the default — multiprocess ``sharded``
+execution, or Numba-``compiled`` native kernels with a transparent NumPy
+fallback), batches whole-network traces, and caches per-tile forests by
+content hash. Every call runs through :mod:`repro.engine.planner`:
+cross-workload shape buckets, one global content dedup per bucket, and
+arena-backed buffers reused across runs. Every backend is bit-identical
+to the core transform; the engine only changes *how fast* the answer
+arrives.
 """
 
 from repro.engine.backends import (
+    DEFAULT_BACKEND,
     Backend,
     ReferenceBackend,
-    VectorizedBackend,
     available_backends,
     get_backend,
     register_backend,
@@ -44,6 +43,7 @@ from repro.engine.store import ResultStore, StoreStats, default_store_path
 __all__ = [
     "Backend",
     "BufferArena",
+    "DEFAULT_BACKEND",
     "CompiledBackend",
     "FaultInjected",
     "FaultPlan",
@@ -57,7 +57,6 @@ __all__ = [
     "StoreStats",
     "TracePlan",
     "TracePlanner",
-    "VectorizedBackend",
     "available_backends",
     "default_store_path",
     "get_backend",

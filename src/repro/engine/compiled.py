@@ -47,20 +47,15 @@ import numpy as np
 from repro.core.forest import NO_PREFIX
 from repro.core.prosparsity import TILE_RECORD_FIELDS
 from repro.engine.backends import register_backend
-from repro.engine.fused import PROFILE_STAGES, FusedBackend
+from repro.engine.fused import FusedBackend
 
 __all__ = [
-    "COMPILED_PROFILE_STAGES",
     "CompiledBackend",
     "jit_disabled",
     "jit_status",
     "numba_installed",
     "tile_records_python",
 ]
-
-#: Stage keys the compiled backend's profile reports: the fused stages
-#: plus ``warmup`` (one-time JIT compilation / cache load).
-COMPILED_PROFILE_STAGES = (*PROFILE_STAGES, "warmup")
 
 _NFIELDS = len(TILE_RECORD_FIELDS)
 

@@ -1,13 +1,14 @@
 """Trace-level execution planner: cross-workload tile batching.
 
-The fused backend (:mod:`repro.engine.fused`) batches all same-shape
-tiles — but only within one matrix, so every ``transform_matrix`` call
-re-packs, re-dedups, and launches kernels per workload, and small
-matrices never fill a batch. SNN traces are highly redundant *across*
-workloads too: the same spike tile recurs across timesteps and layers
-(the temporal analogue of the product-sparsity reuse Prosperity exploits
-spatially, as MINT-style temporal-overlap work observes). The planner
-therefore lifts batching to *trace* scope:
+Every :class:`~repro.engine.pipeline.ProsperityEngine` call — whole-trace
+runs, single-matrix transforms and GeMM execution — goes through this
+planner. Batching per matrix would re-pack, re-dedup, and launch
+kernels per workload, and small matrices would never fill a batch. SNN
+traces are highly redundant *across* workloads too: the same spike tile
+recurs across timesteps and layers (the temporal analogue of the
+product-sparsity reuse Prosperity exploits spatially, as MINT-style
+temporal-overlap work observes). The planner therefore lifts batching to
+*trace* scope:
 
 * **Shape-bucketed packing.** Every tile of every workload is packed
   once and merged into one bucket per ``(m, k)`` tile shape, spanning
@@ -18,13 +19,13 @@ therefore lifts batching to *trace* scope:
   whole (:func:`~repro.engine.fused.dedup_tiles` over raw packed
   bytes), so a tile repeated across timesteps or layers is computed
   once per *trace*, not once per matrix. The dedup composes with the
-  engine's :class:`~repro.engine.pipeline.ForestCache` exactly like the
-  per-matrix fused path: one digest per unique content.
+  engine's :class:`~repro.engine.pipeline.ForestCache`: one digest per
+  unique content.
 * **Buffer-arena reuse.** Bucket stacks (codes, popcounts, raw bytes,
   scatter indices) live in a :class:`BufferArena` — a shape-keyed,
   capacity-doubling slab pool owned by the planner and reused across
   runs, so repeated runs (sweeps, simulators, benchmarks) stop paying
-  per-matrix allocation churn. A plan's bucket arrays are only valid
+  per-run allocation churn. A plan's bucket arrays are only valid
   until the next ``plan()`` call on the same planner; the *records* a
   plan execution returns are always freshly allocated.
 * **Persistent-store layering.** Bucket execution funnels through
@@ -39,7 +40,7 @@ therefore lifts batching to *trace* scope:
   reuse composes with cross-workload dedup for free.
 
 Records are scattered back to per-workload row-major tile order and are
-bit-identical to the per-matrix path for every backend and worker
+bit-identical to the reference oracle for every backend and worker
 count: the batched kernels compute each tile's record independently of
 its stack neighbours (pinned by the sharded worker-count equivalence
 tests), so bucket composition cannot change results.
@@ -80,28 +81,27 @@ __all__ = [
     "validate_plan_mode",
 ]
 
-#: Execution-planning modes: ``matrix`` (per-matrix fused batching, the
-#: PR 2 behaviour) and ``trace`` (cross-workload planner batching).
-PLAN_MODES = ("matrix", "trace")
+#: Execution-planning modes. ``trace`` (cross-workload planner batching)
+#: is the only one; ``engine.plan`` keeps the setting so configs that
+#: name it stay valid.
+PLAN_MODES = ("trace",)
 
-#: Profile stage keys a trace-planned engine run may report, in
-#: pipeline order. ``pack``/``select``/``record``/``merge`` keep their
-#: per-matrix meaning; ``plan``/``dedup``/``scatter`` are planner-only.
-PLANNED_PROFILE_STAGES = (
-    "pack",
-    "plan",
-    "dedup",
-    "select",
-    "record",
-    "scatter",
-    "merge",
-)
+#: Profile stage keys an engine run reports, in pipeline order:
+#: ``pack`` (per-workload bit packing), ``plan`` (bucket merge / arena
+#: fill), ``dedup`` (global content dedup + cache traffic), the kernel's
+#: ``select``/``record``, and ``scatter`` (records back in workload order).
+PLANNED_PROFILE_STAGES = ("pack", "plan", "dedup", "select", "record", "scatter")
 
 _NFIELDS = len(TILE_RECORD_FIELDS)
 
 
 def validate_plan_mode(plan: str) -> str:
     """Reject unknown plan modes with the available choices."""
+    if plan == "matrix":
+        raise ValueError(
+            "plan 'matrix' was removed: every run goes through the trace "
+            "planner; use plan='trace' (bit-identical records)"
+        )
     if plan not in PLAN_MODES:
         raise ValueError(f"unknown plan mode {plan!r}; expected one of {PLAN_MODES}")
     return plan
@@ -389,7 +389,7 @@ class TracePlanner:
 
         Returns one ``(tiles, len(TILE_RECORD_FIELDS))`` array per
         planned workload, in the workload's own tile order —
-        bit-identical to running the backend per matrix. The returned
+        bit-identical to the reference oracle. The returned
         arrays are freshly allocated (never arena-backed), so they stay
         valid across later plans.
 
@@ -450,9 +450,8 @@ class TracePlanner:
     ) -> np.ndarray:
         """Records for one bucket's full stack: cache, one kernel, expand.
 
-        The trace-scope twin of ``FusedBackend._group_records`` — both
-        share :func:`~repro.engine.fused.cached_unique_records` for the
-        cache protocol. The kernel runs once over the cache-missing
+        :func:`~repro.engine.fused.cached_unique_records` runs the cache
+        protocol. The kernel runs once over the cache-missing
         unique stack, through the backend's ``_compute_records``
         sharding seam when it has one (the sharded backend then splits
         whole buckets across its workers); per-tile backends fall back
@@ -491,8 +490,9 @@ class TracePlanner:
     def _tiles_from_raw(bucket: PlanBucket, rows: np.ndarray):
         """Rebuild :class:`SpikeTile` objects for per-tile backends.
 
-        Only the reference/vectorized per-tile entry points need real
-        tiles; the fused kernels consume the packed stacks directly.
+        Only per-tile entry points (the reference oracle's records,
+        forests for GeMM execution) need real tiles; the fused kernels
+        consume the packed stacks directly.
         """
         for i in rows:
             packed = bucket.raw[i].reshape(bucket.m, bucket.nbytes)

@@ -136,7 +136,6 @@ def encode_result(result: RunResult, records_mode: str) -> dict:
             "plan": report.plan,
             "tile_m": report.tile_m,
             "tile_k": report.tile_k,
-            "batch": report.batch,
             "model": report.model,
             "dataset": report.dataset,
             "workers": report.workers,

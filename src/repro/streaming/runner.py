@@ -321,7 +321,6 @@ class StreamRunner:
             backend=engine.backend.name,
             tile_m=engine.tile_m,
             tile_k=engine.tile_k,
-            batch=1,
             model=source.name,
             dataset="stream",
             workers=getattr(engine.backend, "workers", None),

@@ -8,13 +8,14 @@ import pytest
 
 from repro.api import RunConfig
 from repro.api.config import tomllib
-from repro.engine import get_backend
+from repro.engine import ProsperityEngine, get_backend
 
 
 class TestValidation:
     def test_defaults_are_valid(self):
         cfg = RunConfig()
-        assert cfg.engine.backend == "vectorized"
+        assert cfg.engine.backend == "fused"
+        assert cfg.engine.plan == "trace"
         assert cfg.workload.model == "vgg16"
 
     def test_unknown_backend(self):
@@ -24,7 +25,7 @@ class TestValidation:
     def test_workers_on_non_sharded_backend(self):
         with pytest.raises(ValueError, match="does not accept"):
             RunConfig().with_overrides(
-                {"engine.backend": "vectorized", "engine.workers": 2}
+                {"engine.backend": "reference", "engine.workers": 2}
             )
 
     def test_workers_rejection_wording_matches_backend_layer(self):
@@ -59,7 +60,7 @@ class TestValidation:
             RunConfig().with_overrides({"workload.preset": "huge"})
 
     def test_bad_batch(self):
-        with pytest.raises(ValueError, match="batch must be >= 1"):
+        with pytest.raises(ValueError, match="engine.batch was removed"):
             RunConfig().with_overrides({"engine.batch": 0})
 
     def test_bad_tile_shape(self):
@@ -178,7 +179,7 @@ class TestFileRoundTrip:
 
     def test_emitted_json_is_valid_json(self):
         parsed = json.loads(RunConfig().to_json())
-        assert parsed["engine"]["backend"] == "vectorized"
+        assert parsed["engine"]["backend"] == "fused"
 
     def test_unsupported_suffix(self, tmp_path):
         with pytest.raises(ValueError, match=".toml or .json"):
@@ -268,12 +269,39 @@ class TestTomlEmitterEdgeCases:
         assert loaded.scheduler.max_inflight == 7
 
 
+class TestRemovedSettings:
+    """Removed settings fail loudly and name what replaced them."""
+
+    def test_engine_batch_in_file(self):
+        with pytest.raises(ValueError, match="trace planner batches"):
+            RunConfig.from_dict({"engine": {"batch": 8}})
+
+    def test_engine_batch_via_set(self):
+        with pytest.raises(ValueError, match="engine.batch was removed"):
+            RunConfig().with_sets(["engine.batch=8"])
+
+    def test_matrix_plan_in_config(self):
+        with pytest.raises(ValueError, match="plan 'matrix' was removed.*'trace'"):
+            RunConfig().with_overrides({"engine.plan": "matrix"})
+
+    def test_matrix_plan_on_engine(self):
+        with pytest.raises(ValueError, match="plan 'matrix' was removed.*'trace'"):
+            ProsperityEngine(plan="matrix")
+
+    def test_vectorized_backend_points_to_fused(self):
+        match = "backend 'vectorized' was removed; use 'fused'"
+        with pytest.raises(ValueError, match=match):
+            RunConfig().with_overrides({"engine.backend": "vectorized"})
+        with pytest.raises(ValueError, match=match):
+            ProsperityEngine(backend="vectorized")
+
+
 class TestOverrides:
     def test_with_overrides_returns_new_instance(self):
         base = RunConfig()
-        derived = base.with_overrides({"engine.backend": "fused"})
-        assert derived.engine.backend == "fused"
-        assert base.engine.backend == "vectorized"  # immutability
+        derived = base.with_overrides({"engine.backend": "reference"})
+        assert derived.engine.backend == "reference"
+        assert base.engine.backend == "fused"  # immutability
         assert derived is not base
 
     def test_frozen_sections(self):

@@ -89,7 +89,7 @@ class TestCoalescing:
 
     @pytest.mark.parametrize(
         "backend,workers",
-        [("reference", None), ("vectorized", None), ("fused", None),
+        [("reference", None), ("compiled", None), ("fused", None),
          ("sharded", 1), ("sharded", 2)],
     )
     def test_coalesced_bit_identical_every_backend(self, backend, workers):
@@ -121,14 +121,14 @@ class TestCoalescing:
     def test_incompatible_engines_run_separately(self):
         """Different signatures never share a batch, results stay exact."""
         fused = lenet_config(**{"engine.backend": "fused"})
-        vectorized = lenet_config(**{"engine.backend": "vectorized"})
+        reference = lenet_config(**{"engine.backend": "reference"})
         with Scheduler(fused) as scheduler:
-            a, b = scheduler.gather([fused, vectorized])
+            a, b = scheduler.gather([fused, reference])
             assert scheduler.jobs_coalesced == 0  # two single-job groups
         assert_records_equal(a, serial_run(fused))
-        assert_records_equal(b, serial_run(vectorized))
+        assert_records_equal(b, serial_run(reference))
         assert a.report.backend == "fused"
-        assert b.report.backend == "vectorized"
+        assert b.report.backend == "reference"
 
     def test_single_job_matches_session_exactly(self):
         """A lone non-streaming job takes the plain Session.run path."""

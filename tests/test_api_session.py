@@ -87,13 +87,13 @@ class TestResults:
         assert result.seconds > 0
         assert result.verified is None  # not requested
         with ProsperityEngine(backend="fused") as engine:
-            direct = engine.run(session.trace(), batch=cfg.engine.batch)
+            direct = engine.run(session.trace())
         assert result.report.total_tiles == direct.total_tiles
         for mine, theirs in zip(result.report.runs, direct.runs):
             assert np.array_equal(mine.records, theirs.records)
 
     def test_run_verify_flag(self):
-        cfg = lenet_config(**{"engine.backend": "vectorized",
+        cfg = lenet_config(**{"engine.backend": "fused",
                               "engine.verify": True})
         with Session(cfg) as session:
             assert session.run().verified is True
@@ -219,7 +219,7 @@ class TestCloseIdempotency:
         backend = ShardedBackend(workers=2)
         backend.close()
         backend.close()
-        for name in ("reference", "vectorized", "fused"):
+        for name in ("reference", "fused", "compiled"):
             plain = get_backend(name)
             plain.close()
             plain.close()
@@ -252,15 +252,14 @@ class TestSharedEngine:
     def test_injected_engine_must_match_config(self):
         cfg = lenet_config(**{"engine.backend": "fused"})
         with Session(cfg) as owner:
-            mismatched = lenet_config(**{"engine.backend": "vectorized"})
+            mismatched = lenet_config(**{"engine.backend": "reference"})
             with pytest.raises(ValueError, match="does not match"):
                 Session(mismatched, engine=owner.engine)
-            # Plan mode is part of the contract too: a matrix-planned
-            # engine cannot serve a trace-planned config.
-            planned = lenet_config(**{"engine.backend": "fused",
-                                      "engine.plan": "trace"})
+            # Tile shape is part of the contract too.
+            retiled = lenet_config(**{"engine.backend": "fused",
+                                      "engine.tile_m": 128})
             with pytest.raises(ValueError, match="does not match"):
-                Session(planned, engine=owner.engine)
+                Session(retiled, engine=owner.engine)
 
     def test_injected_engine_worker_count_checked_when_pinned(self):
         cfg = lenet_config(**{"engine.backend": "sharded",

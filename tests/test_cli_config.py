@@ -93,7 +93,7 @@ class TestConfigPrecedence:
 
     def test_set_overrides_flags(self):
         cfg = build_config(
-            ["run", "--backend", "vectorized", "--set", "engine.backend=fused"]
+            ["run", "--backend", "reference", "--set", "engine.backend=fused"]
         )
         assert cfg.engine.backend == "fused"
 
@@ -103,11 +103,27 @@ class TestConfigPrecedence:
 
     def test_workers_rejected_at_config_time(self):
         with pytest.raises(SystemExit, match="does not accept"):
-            build_config(["run", "--backend", "vectorized", "--workers", "2"])
+            build_config(["run", "--backend", "reference", "--workers", "2"])
 
     def test_bad_flag_combo_exits_cleanly(self):
-        with pytest.raises(SystemExit, match="repro: error: batch must be >= 1"):
+        with pytest.raises(SystemExit, match="repro: error: --batch was removed"):
             build_config(["run", "--batch", "0"])
+
+    def test_removed_plan_flag_exits_cleanly(self):
+        with pytest.raises(SystemExit, match="repro: error: --plan was removed"):
+            build_config(["simulate", "--plan", "trace"])
+
+    def test_removed_batch_key_exits_cleanly(self):
+        with pytest.raises(SystemExit, match="engine.batch was removed"):
+            build_config(["run", "--set", "engine.batch=8"])
+
+    def test_removed_matrix_plan_exits_cleanly(self):
+        with pytest.raises(SystemExit, match="plan 'matrix' was removed"):
+            build_config(["run", "--set", "engine.plan=matrix"])
+
+    def test_removed_vectorized_backend_names_fused(self):
+        with pytest.raises(SystemExit, match="'vectorized' was removed; use 'fused'"):
+            build_config(["run", "--set", "engine.backend=vectorized"])
 
     def test_missing_config_file_exits_cleanly(self):
         with pytest.raises(SystemExit, match="repro: error: --config"):
@@ -133,7 +149,7 @@ class TestConfigDump:
 
         assert main(["config", "dump", "--json"]) == 0
         parsed = json.loads(capsys.readouterr().out)
-        assert parsed["engine"]["backend"] == "vectorized"
+        assert parsed["engine"]["backend"] == "fused"
 
     def test_dump_then_config_flag(self, capsys, tmp_path):
         """`repro config dump > f.toml; repro run --config f.toml` works."""
@@ -170,9 +186,9 @@ class TestBatchCommand:
         a = self._write_config(tmp_path, "a.json")
         b = self._write_config(tmp_path, "b.json")
         assert main(["batch", "--config", a, "--config", b,
-                     "--set", "engine.backend=vectorized"]) == 0
+                     "--set", "engine.backend=reference"]) == 0
         out = capsys.readouterr().out
-        assert out.count("vectorized") == 2
+        assert out.count("| reference |") == 2
 
     def test_batch_records_match_serial_run(self, tmp_path, capsys):
         """Acceptance: the batch path is bit-identical to `repro run`
@@ -220,7 +236,7 @@ class TestConfigFileEquivalence:
     """Acceptance: a config file alone reproduces the flag invocation."""
 
     FLAGS = ["--model", "lenet5", "--dataset", "mnist",
-             "--backend", "fused", "--plan", "trace"]
+             "--backend", "fused"]
 
     def test_run_records_bit_identical(self, tmp_path):
         flag_cfg = build_config(["run", *self.FLAGS])

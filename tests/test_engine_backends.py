@@ -1,4 +1,4 @@
-"""Backend equivalence: the vectorized path must match the reference oracle.
+"""Backend equivalence: the fused path must match the reference oracle.
 
 Property-style sweep over random spike matrices at varied densities, row
 correlations, and tile shapes: forests, tile records, aggregate stats, and
@@ -15,17 +15,19 @@ from repro.core.forest import build_forest
 from repro.core.prosparsity import execute_gemm, transform_matrix
 from repro.core.reference import dense_spiking_gemm
 from repro.core.spike_matrix import SpikeTile, random_spike_matrix
+from repro.engine import ProsperityEngine
 from repro.engine.backends import (
     Backend,
     ReferenceBackend,
-    VectorizedBackend,
     available_backends,
-    chain_depths,
     get_backend,
-    max_chain_depth,
-    pack_codes,
     register_backend,
-    select_prefixes_codes,
+)
+from repro.engine.fused import (
+    FusedBackend,
+    chain_depths,
+    padded_codes,
+    select_prefixes_batch,
 )
 from repro.utils.bitops import popcount_rows
 
@@ -46,35 +48,39 @@ def _random_cases(rng):
 
 class TestForestEquivalence:
     def test_forests_identical_across_densities(self, rng):
-        backend = VectorizedBackend()
+        backend = FusedBackend()
         for matrix in _random_cases(rng):
             tile = SpikeTile(matrix.bits)
             reference = build_forest(tile)
-            vectorized = backend.forest(tile)
-            assert np.array_equal(reference.prefix, vectorized.prefix)
-            assert np.array_equal(reference.pattern, vectorized.pattern)
-            assert np.array_equal(reference.popcounts, vectorized.popcounts)
+            fused = backend.forest(tile)
+            assert np.array_equal(reference.prefix, fused.prefix)
+            assert np.array_equal(reference.pattern, fused.pattern)
+            assert np.array_equal(reference.popcounts, fused.popcounts)
 
     def test_paper_example_forest(self, paper_tile):
         reference = build_forest(paper_tile)
-        vectorized = VectorizedBackend().forest(paper_tile)
-        assert np.array_equal(reference.prefix, vectorized.prefix)
-        assert np.array_equal(reference.pattern, vectorized.pattern)
+        fused = FusedBackend().forest(paper_tile)
+        assert np.array_equal(reference.prefix, fused.prefix)
+        assert np.array_equal(reference.pattern, fused.pattern)
 
     def test_records_identical(self, rng):
-        backend = VectorizedBackend()
-        oracle = ReferenceBackend()
         for matrix in _random_cases(rng):
             for tile_m, tile_k in ((64, 16), (32, 8)):
-                ref = oracle.matrix_records(matrix, tile_m, tile_k)
-                vec = backend.matrix_records(matrix, tile_m, tile_k)
-                assert np.array_equal(ref, vec)
+                ref, fused = (
+                    ProsperityEngine(
+                        backend=name, tile_m=tile_m, tile_k=tile_k, cache_size=0
+                    ).transform_matrix(matrix).tile_records
+                    for name in ("reference", "fused")
+                )
+                assert np.array_equal(ref, fused)
 
     def test_records_match_core_transform(self, rng):
         matrix = random_spike_matrix(300, 40, 0.25, rng, 0.5)
         core = transform_matrix(matrix, 64, 16, keep_transforms=False)
-        vec = VectorizedBackend().matrix_records(matrix, 64, 16)
-        assert np.array_equal(core.tile_records, vec)
+        engine = ProsperityEngine(backend="fused", tile_m=64, tile_k=16)
+        assert np.array_equal(
+            core.tile_records, engine.transform_matrix(matrix).tile_records
+        )
 
 
 class TestExecutionEquivalence:
@@ -106,33 +112,36 @@ class TestExecutionEquivalence:
         tile = SpikeTile(matrix.bits)
         forest = build_forest(tile)
         reference = ReferenceBackend().execute(forest, weights)
-        vectorized = VectorizedBackend().execute(forest, weights)
-        assert reference.dtype == vectorized.dtype == np.float64
-        np.testing.assert_allclose(reference, vectorized, rtol=1e-12, atol=1e-12)
+        fused = FusedBackend().execute(forest, weights)
+        assert reference.dtype == fused.dtype == np.float64
+        np.testing.assert_allclose(reference, fused, rtol=1e-12, atol=1e-12)
 
-    def test_vectorized_execute_rejects_bad_weights(self, rng):
+    def test_fused_execute_rejects_bad_weights(self, rng):
         tile = SpikeTile((rng.random((8, 4)) < 0.5))
-        forest = VectorizedBackend().forest(tile)
+        forest = build_forest(tile)
         with pytest.raises(ValueError, match="weight rows"):
-            VectorizedBackend().execute(forest, rng.normal(size=(5, 3)))
+            FusedBackend().execute(forest, rng.normal(size=(5, 3)))
 
     def test_deep_chain_execution(self):
         """Staircase tile: every row prefixes the next (max-depth forest)."""
         bits = np.tril(np.ones((16, 16), dtype=bool))
         tile = SpikeTile(bits)
         weights = np.arange(16 * 4).reshape(16, 4).astype(np.int64)
-        forest = VectorizedBackend().forest(tile)
-        out = VectorizedBackend().execute(forest, weights)
+        backend = FusedBackend()
+        forest = backend.forest(tile)
+        out = backend.execute(forest, weights)
         assert np.array_equal(out, dense_spiking_gemm(bits, weights))
-        assert max_chain_depth(forest.prefix) == 15
+        assert forest.depth() == build_forest(tile).depth() == 15
 
 
 class TestVectorizedPrimitives:
+    """The fused backend's NumPy-vectorized packed-code primitives."""
+
     def test_pack_codes_widths(self, rng):
         for cols in (3, 8, 9, 16, 33, 64, 65, 130, 200):
             bits = rng.random((10, cols)) < 0.5
             packed = np.packbits(bits, axis=1)
-            codes = pack_codes(packed)
+            codes = padded_codes(packed)
             assert codes.shape[0] == 10
             # Codes are a bijection: equal rows <-> equal codes.
             for i in range(10):
@@ -142,8 +151,9 @@ class TestVectorizedPrimitives:
                     )
 
     def test_select_prefixes_empty_tile(self):
-        codes = pack_codes(np.zeros((0, 2), dtype=np.uint8))
-        assert select_prefixes_codes(codes, np.zeros(0, dtype=np.int64)).size == 0
+        codes = padded_codes(np.zeros((0, 2), dtype=np.uint8))
+        pops = np.zeros((1, 0), dtype=np.int64)
+        assert select_prefixes_batch(codes[None], pops).size == 0
 
     def test_chain_depths_matches_forest_depth(self, rng):
         for matrix in _random_cases(rng):
@@ -151,7 +161,6 @@ class TestVectorizedPrimitives:
             forest = build_forest(tile)
             depths = chain_depths(forest.prefix)
             assert int(depths.max(initial=0)) == forest.depth()
-            assert max_chain_depth(forest.prefix) == forest.depth()
 
     def test_popcount_consistency(self, rng):
         bits = rng.random((32, 100)) < 0.4
@@ -162,12 +171,12 @@ class TestVectorizedPrimitives:
 class TestRegistry:
     def test_available_backends(self):
         assert "reference" in available_backends()
-        assert "vectorized" in available_backends()
+        assert "vectorized" not in available_backends()
         assert "fused" in available_backends()
         assert "sharded" in available_backends()
 
     def test_get_backend_passthrough(self):
-        backend = VectorizedBackend()
+        backend = FusedBackend()
         assert get_backend(backend) is backend
 
     def test_unknown_backend_raises(self):
@@ -190,9 +199,7 @@ class TestRegistry:
 
 class TestEndToEndGemm:
     def test_gemm_against_core_path(self, rng):
-        """Whole-matrix GeMM: engine tiles + both backends == core path."""
-        from repro.engine import ProsperityEngine
-
+        """Whole-matrix GeMM: engine tiles + every backend == core path."""
         matrix = random_spike_matrix(150, 70, 0.2, rng, 0.3)
         weights = rng.integers(-16, 16, size=(70, 20))
         expected = execute_gemm(matrix, weights, tile_m=64, tile_k=16)

@@ -1,8 +1,8 @@
 """Compiled (Numba) backend: JIT fast path and NumPy fallback, one truth.
 
 Acceptance contract (ISSUE 6): the ``compiled`` backend's records are
-bit-identical to the reference oracle for every plan mode and worker
-count, with or without numba installed; the kernel *logic* is pinned via
+bit-identical to the reference oracle through the trace planner for
+every worker count, with or without numba installed; the kernel *logic* is pinned via
 its pure-Python form (:func:`tile_records_python`) so this suite proves
 the fast path's algorithm even in environments where numba is absent;
 ``REPRO_NO_JIT=1`` and a numba-less interpreter both degrade to records
@@ -37,7 +37,6 @@ from repro.engine import (
 )
 from repro.engine.backends import ReferenceBackend
 from repro.engine.compiled import (
-    COMPILED_PROFILE_STAGES,
     jit_disabled,
     jit_status,
     numba_installed,
@@ -55,6 +54,12 @@ from repro.utils.bitops import popcount_rows
 #: What this environment should resolve to (True on the CI compiled leg,
 #: False on the numpy-only leg and in numba-less dev checkouts).
 EXPECT_JIT = numba_installed() and not jit_disabled()
+
+
+def _records(backend, matrix):
+    """Whole-matrix tile records through the engine's trace planner."""
+    engine = ProsperityEngine(backend=backend, tile_m=64, tile_k=16, cache_size=0)
+    return engine.transform_matrix(matrix).tile_records
 
 
 def _stack(rng, T, m, k, density, correlation=0.0):
@@ -126,15 +131,13 @@ class TestCompiledEquivalence:
     """Backend-level: compiled == reference oracle, every mode."""
 
     def test_matrix_records_match_oracle(self, rng):
-        oracle = ReferenceBackend()
         backend = CompiledBackend()
         for density, correlation in ((0.05, 0.0), (0.3, 0.5), (0.7, 0.2)):
             matrix = random_spike_matrix(300, 40, density, rng, correlation)
-            expected = oracle.matrix_records(matrix, 64, 16)
-            assert np.array_equal(expected, backend.matrix_records(matrix, 64, 16))
+            expected = _records("reference", matrix)
+            assert np.array_equal(expected, _records(backend, matrix))
 
-    @pytest.mark.parametrize("plan", ["matrix", "trace"])
-    def test_engine_run_matches_reference(self, rng, plan):
+    def test_engine_run_matches_reference(self, rng):
         trace = [
             GeMMWorkload(
                 name=f"w{i}",
@@ -145,10 +148,10 @@ class TestCompiledEquivalence:
                 [(512, 32, 0.3), (130, 17, 0.2), (256, 16, 0.5)]
             )
         ]
-        ref = ProsperityEngine(backend="reference", tile_m=64, tile_k=16, plan=plan)
-        mine = ProsperityEngine(backend="compiled", tile_m=64, tile_k=16, plan=plan)
-        ref_report = ref.run(trace, batch=4)
-        my_report = mine.run(trace, batch=4)
+        ref = ProsperityEngine(backend="reference", tile_m=64, tile_k=16)
+        mine = ProsperityEngine(backend="compiled", tile_m=64, tile_k=16)
+        ref_report = ref.run(trace)
+        my_report = mine.run(trace)
         assert my_report.backend == "compiled"
         for a, b in zip(my_report.runs, ref_report.runs):
             assert np.array_equal(a.records, b.records), a.name
@@ -156,10 +159,10 @@ class TestCompiledEquivalence:
     def test_matches_sharded_across_worker_counts(self, rng):
         """compiled == sharded for workers in {1, 2, 4} (same bits)."""
         matrix = random_spike_matrix(64 * 20, 32, 0.25, rng, 0.4)
-        expected = CompiledBackend().matrix_records(matrix, 64, 16)
+        expected = _records("compiled", matrix)
         for workers in (1, 2, 4):
             with ShardedBackend(workers=workers) as sharded:
-                actual = sharded.matrix_records(matrix, 64, 16)
+                actual = _records(sharded, matrix)
             assert np.array_equal(expected, actual), workers
 
     def test_fallback_identical_to_fused(self, rng, monkeypatch):
@@ -168,8 +171,8 @@ class TestCompiledEquivalence:
         backend = CompiledBackend()
         assert backend.jit_active is False
         matrix = random_spike_matrix(300, 40, 0.3, rng, 0.5)
-        expected = FusedBackend().matrix_records(matrix, 64, 16)
-        assert np.array_equal(expected, backend.matrix_records(matrix, 64, 16))
+        expected = _records("fused", matrix)
+        assert np.array_equal(expected, _records(backend, matrix))
 
     def test_tile_record_entry_point(self, paper_tile):
         assert CompiledBackend().tile_record(paper_tile) == ReferenceBackend(
@@ -201,7 +204,7 @@ class TestWarmup:
         """First _compute_records pays warmup without an explicit call."""
         backend = CompiledBackend()
         matrix = random_spike_matrix(128, 16, 0.3, rng)
-        backend.matrix_records(matrix, 64, 16)
+        _records(backend, matrix)
         if EXPECT_JIT:
             assert backend._warmed is True
             assert backend.profile["warmup"] > 0.0
@@ -264,8 +267,7 @@ class TestConstruction:
 
 
 class TestProfileAndReport:
-    @pytest.mark.parametrize("plan", ["matrix", "trace"])
-    def test_profile_contract(self, rng, plan):
+    def test_profile_contract(self, rng):
         """Warmup is a declared stage; sums stay inside wall-clock."""
         trace = [
             GeMMWorkload(
@@ -274,14 +276,9 @@ class TestProfileAndReport:
                 n=8,
             )
         ]
-        engine = ProsperityEngine(backend="compiled", tile_m=64, tile_k=16, plan=plan)
-        report = engine.run(trace, batch=4)
-        declared = (
-            (*PLANNED_PROFILE_STAGES, "warmup")
-            if plan == "trace"
-            else COMPILED_PROFILE_STAGES
-        )
-        assert set(report.profile) == set(declared)
+        engine = ProsperityEngine(backend="compiled", tile_m=64, tile_k=16)
+        report = engine.run(trace)
+        assert set(report.profile) == {*PLANNED_PROFILE_STAGES, "warmup"}
         assert all(seconds >= 0.0 for seconds in report.profile.values())
         assert sum(report.profile.values()) <= report.total_seconds + 1e-6
 
@@ -293,8 +290,8 @@ class TestProfileAndReport:
             )
         ]
         engine = ProsperityEngine(backend="compiled", tile_m=64, tile_k=16)
-        engine.run(trace, batch=4)
-        second = engine.run(trace, batch=4)
+        engine.run(trace)
+        second = engine.run(trace)
         assert second.profile["warmup"] == 0.0
 
     def test_report_jit_active_flag(self, rng):
@@ -374,13 +371,16 @@ class TestApiThreading:
 _CHILD_BODY = """
 import numpy as np
 from repro.core.spike_matrix import random_spike_matrix
-from repro.engine import CompiledBackend, FusedBackend
+from repro.engine import CompiledBackend, ProsperityEngine
 backend = CompiledBackend()
 assert backend.jit_active is False, "expected the fallback path"
 assert backend.warmup() is False
 matrix = random_spike_matrix(300, 40, 0.3, np.random.default_rng(7), 0.5)
-expected = FusedBackend().matrix_records(matrix, 64, 16)
-actual = backend.matrix_records(matrix, 64, 16)
+expected, actual = (
+    ProsperityEngine(backend=b, tile_m=64, tile_k=16, cache_size=0)
+    .transform_matrix(matrix).tile_records
+    for b in ("fused", backend)
+)
 assert np.array_equal(expected, actual), "fallback diverged from fused"
 print("FALLBACK-IDENTICAL")
 """

@@ -22,12 +22,21 @@ from repro.engine import (
     FaultPlan,
     FaultSpec,
     PoolBrokenError,
+    ProsperityEngine,
     ReferenceBackend,
     ShardedBackend,
 )
 from repro.engine import faults
 from repro.engine.fused import FusedBackend
 from repro.engine.parallel import MIN_TILES_PER_SHARD
+
+
+def _records(backend, matrix, tile_m, tile_k):
+    """Whole-matrix tile records through the engine's trace planner."""
+    engine = ProsperityEngine(
+        backend=backend, tile_m=tile_m, tile_k=tile_k, cache_size=0
+    )
+    return engine.transform_matrix(matrix).tile_records
 
 
 @pytest.fixture(autouse=True)
@@ -184,8 +193,8 @@ class TestInertWhenDisabled:
     def test_backend_results_identical_with_harness_imported(self, rng):
         matrix = random_spike_matrix(64 * 4, 16, 0.3, rng, 0.2)
         backend = FusedBackend()
-        expected = backend.matrix_records(matrix, 64, 16)
-        again = backend.matrix_records(matrix, 64, 16)
+        expected = _records(backend, matrix, 64, 16)
+        again = _records(backend, matrix, 64, 16)
         assert np.array_equal(expected, again)
 
 
@@ -259,10 +268,10 @@ class TestRequestFaults:
 
 class TestPoolSupervision:
     def test_crash_rebuild_retry_bit_identical(self, pooled_matrix):
-        oracle = FusedBackend().matrix_records(pooled_matrix, 64, 16)
+        oracle = _records(FusedBackend(), pooled_matrix, 64, 16)
         with ShardedBackend(workers=2) as backend:
             with faults.injected("worker_crash"):
-                records = backend.matrix_records(pooled_matrix, 64, 16)
+                records = _records(backend, pooled_matrix, 64, 16)
                 # The supervisor burned the crash budget before the
                 # rebuilt pool forked, so its workers came up clean.
                 assert "worker_crash" not in os.environ.get(faults.ENV_VAR, "")
@@ -276,15 +285,15 @@ class TestPoolSupervision:
             }
 
     def test_budget_spent_degrades_to_inline(self, pooled_matrix):
-        oracle = FusedBackend().matrix_records(pooled_matrix, 64, 16)
+        oracle = _records(FusedBackend(), pooled_matrix, 64, 16)
         with ShardedBackend(workers=2, max_rebuilds=0) as backend:
             with faults.injected("worker_crash:times=0"):
-                records = backend.matrix_records(pooled_matrix, 64, 16)
+                records = _records(backend, pooled_matrix, 64, 16)
             assert np.array_equal(records, oracle)
             assert backend.degraded is True
             assert backend.pool_rebuilds == 0
             # Once degraded, later calls stay inline — no pool respawn.
-            again = backend.matrix_records(pooled_matrix, 64, 16)
+            again = _records(backend, pooled_matrix, 64, 16)
             assert np.array_equal(again, oracle)
             assert backend.pools_spawned == 1
 
@@ -292,7 +301,7 @@ class TestPoolSupervision:
         with ShardedBackend(workers=2, max_rebuilds=0, degrade=False) as backend:
             with faults.injected("worker_crash:times=0"):
                 with pytest.raises(PoolBrokenError, match="rebuild budget"):
-                    backend.matrix_records(pooled_matrix, 64, 16)
+                    _records(backend, pooled_matrix, 64, 16)
 
     def test_pool_broken_error_chains_cause(self, pooled_matrix):
         from concurrent.futures.process import BrokenProcessPool
@@ -300,7 +309,7 @@ class TestPoolSupervision:
         with ShardedBackend(workers=2, max_rebuilds=0, degrade=False) as backend:
             with faults.injected("worker_crash:times=0"):
                 with pytest.raises(PoolBrokenError) as err:
-                    backend.matrix_records(pooled_matrix, 64, 16)
+                    _records(backend, pooled_matrix, 64, 16)
         assert isinstance(err.value.__cause__, BrokenProcessPool)
 
     def test_negative_rebuild_budget_rejected(self):

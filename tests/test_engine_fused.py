@@ -1,10 +1,10 @@
 """Fused backend: tile-batched kernels must match the reference oracle.
 
-Property-style sweeps pin the fused ``matrix_records`` path — stacked
-same-shape tiles, sorted-key triangle scan, content dedup, hoisted
-padding — bit-for-bit against the per-tile reference and vectorized
-implementations, across densities, correlations, word widths, and ragged
-tile shapes.
+Property-style sweeps pin the fused kernels as the trace planner runs
+them — stacked same-shape tiles, sorted-key triangle scan, content
+dedup, hoisted padding — bit-for-bit against the per-tile reference
+oracle (:mod:`repro.core.forest`), across densities, correlations, word
+widths, and ragged tile shapes.
 """
 
 from __future__ import annotations
@@ -16,16 +16,10 @@ from repro.core.forest import build_forest
 from repro.core.prosparsity import forest_record
 from repro.core.spike_matrix import SpikeMatrix, SpikeTile, random_spike_matrix
 from repro.engine import ForestCache, FusedBackend, ProsperityEngine, get_backend
-from repro.engine.backends import (
-    ReferenceBackend,
-    available_backends,
-    max_chain_depth,
-    pack_codes,
-    select_prefixes_codes,
-)
+from repro.engine.backends import available_backends
 from repro.engine.fused import (
     PROFILE_STAGES,
-    build_tile_groups,
+    build_tile_parts,
     dedup_tiles,
     max_chain_depth_batch,
     padded_codes,
@@ -50,18 +44,24 @@ def _random_cases(rng):
             yield random_spike_matrix(rows, cols, density, rng, correlation)
 
 
+def _records(backend, matrix, tile_m, tile_k, cache_size=0):
+    """Whole-matrix tile records through the engine's trace planner."""
+    engine = ProsperityEngine(
+        backend=backend, tile_m=tile_m, tile_k=tile_k, cache_size=cache_size
+    )
+    return engine.transform_matrix(matrix).tile_records
+
+
 class TestFusedEquivalence:
     def test_registered(self):
         assert "fused" in available_backends()
         assert isinstance(get_backend("fused"), FusedBackend)
 
     def test_matrix_records_match_reference(self, rng):
-        oracle = ReferenceBackend()
-        fused = FusedBackend()
         for matrix in _random_cases(rng):
             for tile_m, tile_k in ((64, 16), (32, 8), (17, 23)):
-                expected = oracle.matrix_records(matrix, tile_m, tile_k)
-                actual = fused.matrix_records(matrix, tile_m, tile_k)
+                expected = _records("reference", matrix, tile_m, tile_k)
+                actual = _records("fused", matrix, tile_m, tile_k)
                 assert np.array_equal(expected, actual), (tile_m, tile_k)
 
     def test_tile_record_matches_forest_record(self, rng):
@@ -79,8 +79,8 @@ class TestFusedEquivalence:
         """Dedup path: many identical tiles, computed once, scattered back."""
         tile_bits = rng.random((32, 16)) < 0.3
         stacked = SpikeMatrix(np.vstack([tile_bits] * 6))
-        expected = ReferenceBackend().matrix_records(stacked, 32, 16)
-        actual = FusedBackend().matrix_records(stacked, 32, 16)
+        expected = _records("reference", stacked, 32, 16)
+        actual = _records("fused", stacked, 32, 16)
         assert np.array_equal(expected, actual)
         assert (expected == expected[0]).all()
 
@@ -90,50 +90,55 @@ class TestHoistedPadding:
         "tile_k", [17, 24, 33, 40, 41, 48, 49, 56]
     )  # packed widths 3, 3, 5, 5, 6, 6, 7, 7 bytes
     def test_padded_codes_match_per_tile_pack(self, rng, tile_k):
-        """Matrix-level padding must equal per-tile ``pack_codes`` padding."""
+        """Matrix-level padding must equal per-tile padding: each tile's
+        codes decode back to exactly its spike bits, zero-padded."""
         matrix = random_spike_matrix(96, 2 * tile_k + 5, 0.3, rng, 0.4)
-        groups, _ = build_tile_groups(matrix, 32, tile_k)
         by_position = {}
-        for group in groups:
-            for i, position in enumerate(group.positions):
-                by_position[int(position)] = group.codes[i]
+        for chunks in build_tile_parts(matrix, 32, tile_k).values():
+            for _, codes, _, _, positions in chunks:
+                for i, position in enumerate(positions):
+                    by_position[int(position)] = codes[i]
         for index, tile in enumerate(matrix.tile(32, tile_k)):
-            expected = pack_codes(tile.packed)
             actual = by_position[index]
-            assert actual.dtype == expected.dtype, tile_k
-            assert np.array_equal(actual, expected), (tile_k, index)
+            assert actual.dtype == padded_codes(tile.packed).dtype, tile_k
+            decoded = np.unpackbits(
+                np.ascontiguousarray(actual).view(np.uint8), axis=1
+            ).astype(bool)
+            assert np.array_equal(decoded[:, : tile.k], tile.bits), (tile_k, index)
+            assert not decoded[:, tile.k :].any(), (tile_k, index)
 
     @pytest.mark.parametrize("tile_k", [17, 33, 41, 49, 56])
     def test_records_at_non_power_of_two_widths(self, rng, tile_k):
         matrix = random_spike_matrix(80, 3 * tile_k - 4, 0.25, rng, 0.5)
-        expected = ReferenceBackend().matrix_records(matrix, 32, tile_k)
-        actual = FusedBackend().matrix_records(matrix, 32, tile_k)
+        expected = _records("reference", matrix, 32, tile_k)
+        actual = _records("fused", matrix, 32, tile_k)
         assert np.array_equal(expected, actual)
 
     def test_padded_codes_identity_when_power_of_two(self, rng):
         packed = np.packbits(rng.random((10, 32)) < 0.5, axis=1)
         codes = padded_codes(packed)
-        assert np.array_equal(codes, pack_codes(packed))
+        assert codes.shape == (10, 1)
+        assert np.array_equal(codes.view(np.uint8), packed)
 
 
 class TestBatchedKernels:
     def test_select_matches_per_tile(self, rng):
         for matrix in _random_cases(rng):
             tile = SpikeTile(matrix.bits)
-            codes = pack_codes(tile.packed)
+            codes = padded_codes(tile.packed)
             pops = popcount_rows(tile.packed)
-            expected = select_prefixes_codes(codes, pops)
+            expected = build_forest(tile).prefix
             batched = select_prefixes_batch(codes[None], pops[None])[0]
             assert np.array_equal(expected, batched)
 
     def test_select_stacked_tiles_independent(self, rng):
         """Each stacked tile's prefixes must ignore the other tiles."""
         tiles = [SpikeTile(rng.random((32, 16)) < d) for d in (0.1, 0.4, 0.8)]
-        codes = np.stack([pack_codes(t.packed) for t in tiles])
+        codes = np.stack([padded_codes(t.packed) for t in tiles])
         pops = np.stack([popcount_rows(t.packed) for t in tiles])
         batched = select_prefixes_batch(codes, pops)
         for i, tile in enumerate(tiles):
-            expected = select_prefixes_codes(codes[i], pops[i])
+            expected = build_forest(tile).prefix
             assert np.array_equal(batched[i], expected), i
 
     def test_select_large_popcounts_no_overflow(self):
@@ -143,9 +148,9 @@ class TestBatchedKernels:
         bits[1, :50] = False
         bits[5, :] = False     # and a zero row
         tile = SpikeTile(bits)
-        codes = pack_codes(tile.packed)
+        codes = padded_codes(tile.packed)
         pops = popcount_rows(tile.packed)
-        expected = select_prefixes_codes(codes, pops)
+        expected = build_forest(tile).prefix
         batched = select_prefixes_batch(codes[None], pops[None])[0]
         assert np.array_equal(batched, expected)
 
@@ -160,7 +165,6 @@ class TestBatchedKernels:
             tile = SpikeTile(matrix.bits)
             forest = build_forest(tile)
             batched = max_chain_depth_batch(forest.prefix[None])[0]
-            assert batched == max_chain_depth(forest.prefix)
             assert batched == forest.depth()
 
     def test_depth_staircase(self):
@@ -176,7 +180,7 @@ class TestBatchedKernels:
 
     def test_records_batch_matches_reference(self, rng):
         tiles = [SpikeTile(rng.random((48, 24)) < d) for d in (0.1, 0.3, 0.6)]
-        codes = np.stack([pack_codes(t.packed) for t in tiles])
+        codes = np.stack([padded_codes(t.packed) for t in tiles])
         pops = np.stack([popcount_rows(t.packed) for t in tiles])
         records = records_from_codes_batch(codes, pops, 24)
         for i, tile in enumerate(tiles):
@@ -207,29 +211,35 @@ class TestFusedCacheAndProfile:
         """Duplicate tiles inside one batch dedup before cache lookup."""
         tile_bits = rng.random((64, 16)) < 0.3
         stacked = SpikeMatrix(np.vstack([tile_bits] * 4))
-        cache = ForestCache(64)
-        FusedBackend().matrix_records(stacked, 64, 16, cache=cache)
-        assert cache.misses == 1
-        assert cache.hits == 0
+        engine = ProsperityEngine(
+            backend="fused", tile_m=64, tile_k=16, cache_size=64
+        )
+        engine.transform_matrix(stacked)
+        assert engine.cache.misses == 1
+        assert engine.cache.hits == 0
 
-    def test_cache_prefilled_by_vectorized_path(self, rng):
-        """Fused lookups share content keys with the per-tile put path."""
+    def test_cache_prefilled_by_per_tile_puts(self, rng):
+        """Planner lookups share content keys with the per-tile put path."""
         matrix = random_spike_matrix(64, 32, 0.25, rng, 0.2)
         cache = ForestCache(256)
-        expected = get_backend("vectorized").matrix_records(
-            matrix, 32, 16, cache=cache
-        )
-        misses = cache.misses
-        actual = FusedBackend().matrix_records(matrix, 32, 16, cache=cache)
-        assert np.array_equal(expected, actual)
-        assert cache.misses == misses  # every unique tile was a hit
+        expected = []
+        for tile in matrix.tile(32, 16):
+            record = forest_record(build_forest(tile))
+            cache.put_record(tile.m, tile.k, tile.packed, record)
+            expected.append(record)
+        engine = ProsperityEngine(backend="fused", tile_m=32, tile_k=16)
+        engine.cache = cache
+        actual = engine.transform_matrix(matrix).tile_records
+        assert np.array_equal(np.array(expected), actual)
+        assert cache.misses == 0  # every unique tile was a hit
 
     def test_profile_accumulates_stages(self, rng):
         backend = FusedBackend()
         assert set(backend.profile) == set(PROFILE_STAGES)
         matrix = random_spike_matrix(256, 64, 0.2, rng, 0.3)
-        backend.matrix_records(matrix, 64, 16)
-        assert backend.profile["pack"] > 0
+        ProsperityEngine(backend=backend, tile_m=64, tile_k=16).transform_matrix(
+            matrix
+        )
         assert backend.profile["select"] > 0
         assert backend.profile["record"] > 0
 
@@ -242,20 +252,20 @@ class TestFusedCacheAndProfile:
                 name="w", spikes=random_spike_matrix(128, 32, 0.3, rng), n=8
             )
         ]
-        report = engine.run(trace, batch=1)
+        report = engine.run(trace)
         assert set(report.profile) >= set(PROFILE_STAGES)
         assert all(seconds >= 0 for seconds in report.profile.values())
         assert report.backend == "fused"
 
-    def test_engine_run_matches_vectorized(self, vgg_trace):
-        vec = ProsperityEngine(backend="vectorized", tile_m=256, tile_k=16)
+    def test_engine_run_matches_reference(self, vgg_trace):
+        oracle = ProsperityEngine(backend="reference", tile_m=256, tile_k=16)
         fused = ProsperityEngine(backend="fused", tile_m=256, tile_k=16)
-        vec_report = vec.run(vgg_trace, batch=8)
-        fused_report = fused.run(vgg_trace, batch=8)
-        assert [r.name for r in vec_report.runs] == [
+        oracle_report = oracle.run(vgg_trace)
+        fused_report = fused.run(vgg_trace)
+        assert [r.name for r in oracle_report.runs] == [
             r.name for r in fused_report.runs
         ]
-        for mine, theirs in zip(fused_report.runs, vec_report.runs):
+        for mine, theirs in zip(fused_report.runs, oracle_report.runs):
             assert np.array_equal(mine.records, theirs.records), mine.name
             assert vars(mine.stats) == vars(theirs.stats)
 
@@ -269,3 +279,4 @@ class TestFusedCacheAndProfile:
         ]
         engine = ProsperityEngine(backend="fused", tile_m=32, tile_k=8)
         assert engine.verify_trace(workloads)
+        assert engine.verify_trace(workloads, max_tiles=4)

@@ -24,6 +24,14 @@ from repro.engine.parallel import MIN_TILES_PER_SHARD, shard_bounds
 WORKER_COUNTS = (1, 2, 4)
 
 
+def _records(backend, matrix, tile_m, tile_k):
+    """Whole-matrix tile records through the engine's trace planner."""
+    engine = ProsperityEngine(
+        backend=backend, tile_m=tile_m, tile_k=tile_k, cache_size=0
+    )
+    return engine.transform_matrix(matrix).tile_records
+
+
 @pytest.fixture(scope="module")
 def pooled_backends():
     """One persistent pool per worker count, shared across the module."""
@@ -60,15 +68,15 @@ class TestShardedEquivalence:
             for density, correlation in ((0.05, 0.0), (0.3, 0.5), (0.7, 0.2))
         ]
         for matrix in cases:
-            expected = oracle.matrix_records(matrix, 64, 16)
+            expected = _records(oracle, matrix, 64, 16)
             for workers, backend in pooled_backends.items():
-                actual = backend.matrix_records(matrix, 64, 16)
+                actual = _records(backend, matrix, 64, 16)
                 assert np.array_equal(expected, actual), workers
 
     def test_records_independent_of_worker_count(self, rng, pooled_backends):
         matrix = random_spike_matrix(64 * 20, 32, 0.25, rng, 0.4)
         outputs = [
-            backend.matrix_records(matrix, 64, 16)
+            _records(backend, matrix, 64, 16)
             for backend in pooled_backends.values()
         ]
         for other in outputs[1:]:
@@ -79,9 +87,9 @@ class TestShardedEquivalence:
         backend = ShardedBackend(workers=2)
         try:
             matrix = random_spike_matrix(48, 16, 0.3, rng)
-            expected = ReferenceBackend().matrix_records(matrix, 16, 16)
+            expected = _records(ReferenceBackend(), matrix, 16, 16)
             assert np.array_equal(
-                expected, backend.matrix_records(matrix, 16, 16)
+                expected, _records(backend, matrix, 16, 16)
             )
             assert backend._pool is None  # never spawned
         finally:
@@ -90,22 +98,22 @@ class TestShardedEquivalence:
     def test_pool_persists_across_calls(self, rng, pooled_backends):
         backend = pooled_backends[2]
         matrix = random_spike_matrix(64 * 20, 16, 0.2, rng)
-        backend.matrix_records(matrix, 64, 16)
+        _records(backend, matrix, 64, 16)
         pool_first = backend._pool
-        backend.matrix_records(matrix, 64, 16)
+        _records(backend, matrix, 64, 16)
         assert backend._pool is pool_first
         assert pool_first is not None
 
-    def test_engine_run_matches_vectorized(self, pooled_backends, vgg_trace):
-        vectorized = ProsperityEngine(backend="vectorized", tile_m=256, tile_k=16)
+    def test_engine_run_matches_reference(self, pooled_backends, vgg_trace):
+        oracle = ProsperityEngine(backend="reference", tile_m=256, tile_k=16)
         sharded = ProsperityEngine(
             backend=pooled_backends[2], tile_m=256, tile_k=16
         )
-        vec_report = vectorized.run(vgg_trace, batch=8)
-        shard_report = sharded.run(vgg_trace, batch=8)
+        oracle_report = oracle.run(vgg_trace)
+        shard_report = sharded.run(vgg_trace)
         assert shard_report.backend == "sharded"
         assert shard_report.workers == 2
-        for mine, theirs in zip(shard_report.runs, vec_report.runs):
+        for mine, theirs in zip(shard_report.runs, oracle_report.runs):
             assert np.array_equal(mine.records, theirs.records), mine.name
 
 
@@ -141,7 +149,7 @@ class TestShardedConstruction:
 
     def test_other_backends_reject_workers(self):
         with pytest.raises(ValueError, match="does not accept"):
-            get_backend("vectorized", workers=2)
+            get_backend("reference", workers=2)
         with pytest.raises(ValueError, match="does not accept"):
             ProsperityEngine(backend="fused", workers=2)
 
@@ -154,7 +162,7 @@ class TestShardedConstruction:
             backend.close()
 
     def test_none_workers_ignored_for_any_backend(self):
-        assert get_backend("vectorized", workers=None).name == "vectorized"
+        assert get_backend("fused", workers=None).name == "fused"
 
     def test_close_idempotent(self):
         backend = ShardedBackend(workers=1)
@@ -205,11 +213,12 @@ class TestDelTeardown:
         script = (
             "import numpy as np\n"
             "from repro.core.spike_matrix import random_spike_matrix\n"
-            "from repro.engine import ShardedBackend\n"
+            "from repro.engine import ProsperityEngine, ShardedBackend\n"
             "backend = ShardedBackend(workers=2)\n"
             "matrix = random_spike_matrix(64 * 20, 16, 0.2, "
             "np.random.default_rng(0))\n"
-            "backend.matrix_records(matrix, 64, 16)\n"
+            "ProsperityEngine(backend=backend, tile_m=64, tile_k=16, "
+            "cache_size=0).transform_matrix(matrix)\n"
             "assert backend._pool is not None\n"
             "# exit without close(): GC/shutdown must stay silent\n"
         )
@@ -230,7 +239,7 @@ class TestPoolLifecycle:
     def test_context_manager_closes_pool(self, rng):
         matrix = random_spike_matrix(64 * 20, 16, 0.2, rng)
         with ShardedBackend(workers=2) as backend:
-            backend.matrix_records(matrix, 64, 16)
+            _records(backend, matrix, 64, 16)
             assert backend._pool is not None
         assert backend._pool is None
 
@@ -238,12 +247,12 @@ class TestPoolLifecycle:
         backend = pooled_backends[4]
         matrix = random_spike_matrix(64 * 20, 16, 0.2, rng)
         for _ in range(3):
-            backend.matrix_records(matrix, 64, 16)
+            _records(backend, matrix, 64, 16)
         assert backend.pools_spawned == 1
 
     def test_inline_path_never_spawns(self, rng):
         with ShardedBackend(workers=2) as backend:
-            backend.matrix_records(random_spike_matrix(48, 16, 0.3, rng), 16, 16)
+            _records(backend, random_spike_matrix(48, 16, 0.3, rng), 16, 16)
             assert backend.pools_spawned == 0
 
     def test_engine_close_and_context_manager(self, rng):
@@ -255,7 +264,7 @@ class TestPoolLifecycle:
         engine.close()  # idempotent through the engine too
 
     def test_non_pooled_backends_close_is_noop(self):
-        with ProsperityEngine(backend="vectorized") as engine:
+        with ProsperityEngine(backend="reference") as engine:
             pass
         engine.close()
         with get_backend("fused") as backend:
@@ -266,7 +275,7 @@ class TestPoolLifecycle:
         from repro.arch.simulator import ProsperitySimulator
 
         backend = pooled_backends[4]
-        backend.matrix_records(random_spike_matrix(64 * 20, 16, 0.2, rng), 64, 16)
+        _records(backend, random_spike_matrix(64 * 20, 16, 0.2, rng), 64, 16)
         pool = backend._pool
         engine = ProsperityEngine(backend=backend, tile_m=64, tile_k=16)
         with ProsperitySimulator(engine=engine):
@@ -326,7 +335,7 @@ class TestPoolLifecycle:
         from repro.snn.trace import GeMMWorkload, ModelTrace
 
         backend = pooled_backends[2]
-        backend.matrix_records(random_spike_matrix(64 * 20, 16, 0.2, rng), 64, 16)
+        _records(backend, random_spike_matrix(64 * 20, 16, 0.2, rng), 64, 16)
         pool = backend._pool
         trace = ModelTrace(
             model="synthetic",
@@ -360,14 +369,3 @@ class TestCliSharded:
         assert "backend=sharded" in out
         assert "workers: 2" in out
         assert "profile:" in out
-
-    def test_cli_rejects_workers_for_vectorized(self):
-        from repro.cli import main
-
-        # Config validation rejects the combo with a clean one-line exit
-        # (same "does not accept" wording as get_backend itself).
-        with pytest.raises(SystemExit, match="does not accept"):
-            main(
-                ["run", "--model", "lenet5", "--dataset", "mnist",
-                 "--backend", "vectorized", "--workers", "2"]
-            )

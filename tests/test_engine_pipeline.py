@@ -50,7 +50,7 @@ class TestForestCache:
         assert cache.get_record(tiles[2].m, tiles[2].k, tiles[2].packed) == (2,)
 
     def test_forest_rebinds_to_new_tile(self, rng):
-        engine = ProsperityEngine(backend="vectorized", tile_m=16, tile_k=8)
+        engine = ProsperityEngine(backend="fused", tile_m=16, tile_k=8)
         bits = rng.random((16, 8)) < 0.4
         tile_a = SpikeTile(bits)
         forest_a = engine._forest_for(tile_a)
@@ -86,7 +86,7 @@ class TestForestCache:
 
     def test_eviction_drops_both_slots(self, rng):
         """Evicting an entry loses its record and its forest together."""
-        engine = ProsperityEngine(backend="vectorized", tile_m=8, tile_k=8,
+        engine = ProsperityEngine(backend="fused", tile_m=8, tile_k=8,
                                   cache_size=1)
         tile_a = SpikeTile(rng.random((8, 8)) < 0.5)
         tile_b = SpikeTile(rng.random((8, 8)) < 0.5)
@@ -99,7 +99,7 @@ class TestForestCache:
     def test_dual_slot_fill_shares_one_entry(self, rng):
         """Record and forest slots for one content key share an entry."""
         cache = ForestCache(capacity=4)
-        engine = ProsperityEngine(backend="vectorized", tile_m=16, tile_k=8,
+        engine = ProsperityEngine(backend="fused", tile_m=16, tile_k=8,
                                   cache_size=0)
         tile = SpikeTile(rng.random((16, 8)) < 0.4)
         forest = engine.backend.forest(tile)
@@ -129,7 +129,7 @@ class TestForestCache:
 
 
 class TestEngineTransform:
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
     def test_matches_core_transform(self, backend, rng):
         matrix = random_spike_matrix(200, 50, 0.2, rng, 0.4)
         engine = ProsperityEngine(backend=backend, tile_m=64, tile_k=16)
@@ -138,7 +138,7 @@ class TestEngineTransform:
         assert np.array_equal(core.tile_records, mine.tile_records)
         assert vars(core.stats) == vars(mine.stats)
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
     def test_sampled_matches_core(self, backend, rng):
         matrix = random_spike_matrix(400, 60, 0.15, rng, 0.3)
         engine = ProsperityEngine(backend=backend, tile_m=64, tile_k=16)
@@ -156,7 +156,7 @@ class TestEngineTransform:
 
     def test_keep_transforms_builds_plans(self, rng):
         matrix = random_spike_matrix(100, 20, 0.3, rng, 0.2)
-        engine = ProsperityEngine(backend="vectorized", tile_m=32, tile_k=8)
+        engine = ProsperityEngine(backend="fused", tile_m=32, tile_k=8)
         result = engine.transform_matrix(matrix, keep_transforms=True)
         core = transform_matrix(matrix, 32, 8, keep_transforms=True)
         assert len(result.transforms) == len(core.transforms)
@@ -166,7 +166,7 @@ class TestEngineTransform:
 
     def test_cache_accelerates_repeat_transform(self, rng):
         matrix = random_spike_matrix(128, 32, 0.2, rng, 0.3)
-        engine = ProsperityEngine(backend="vectorized", tile_m=64, tile_k=16)
+        engine = ProsperityEngine(backend="fused", tile_m=64, tile_k=16)
         first = engine.transform_matrix(matrix)
         misses_after_first = engine.cache.misses
         second = engine.transform_matrix(matrix)
@@ -193,7 +193,7 @@ class TestEngineTransform:
 
 class TestBatchedRun:
     def test_batching_preserves_records(self, rng):
-        """Stacked batches must equal workload-at-a-time processing."""
+        """A whole-trace plan must equal workload-at-a-time processing."""
         workloads = [
             _workload("a", rng.random((128, 32)) < 0.2),
             _workload("b", rng.random((128, 32)) < 0.3),
@@ -206,62 +206,40 @@ class TestBatchedRun:
             transform_matrix(w.spikes, engine_m, 16, keep_transforms=False)
             for w in workloads
         ]
-        for batch in (1, 2, 8):
-            engine = ProsperityEngine(
-                backend="vectorized", tile_m=engine_m, tile_k=16
-            )
-            report = engine.run(workloads, batch=batch)
-            assert [r.name for r in report.runs] == list("abcde")
-            for run, ref in zip(report.runs, baseline):
-                assert np.array_equal(run.records, ref.tile_records), (
-                    run.name,
-                    batch,
-                )
-                assert vars(run.stats) == vars(ref.stats)
-
-    def test_batch_groups_respect_alignment(self, rng):
-        engine = ProsperityEngine(tile_m=64, tile_k=16)
-        aligned = _workload("a", rng.random((128, 32)) < 0.2)
-        ragged = _workload("r", rng.random((96, 32)) < 0.2)
-        groups = engine._batch_groups([aligned, aligned, ragged, aligned], 8)
-        # The ragged workload may end a group but never precede one.
-        assert [len(g) for g in groups] == [3, 1]
+        engine = ProsperityEngine(backend="fused", tile_m=engine_m, tile_k=16)
+        report = engine.run(workloads)
+        assert [r.name for r in report.runs] == list("abcde")
+        for run, ref in zip(report.runs, baseline):
+            assert np.array_equal(run.records, ref.tile_records), run.name
+            assert vars(run.stats) == vars(ref.stats)
 
     def test_run_report_totals(self, rng):
         trace_workloads = [
             _workload("x", rng.random((64, 16)) < 0.3),
             _workload("y", rng.random((64, 16)) < 0.3),
         ]
-        engine = ProsperityEngine(backend="vectorized", tile_m=64, tile_k=16)
-        report = engine.run(trace_workloads, batch=4)
+        engine = ProsperityEngine(backend="fused", tile_m=64, tile_k=16)
+        report = engine.run(trace_workloads)
         assert report.total_tiles == sum(r.tiles for r in report.runs)
         assert report.tiles_per_sec > 0
         assert report.cache_hits + report.cache_misses > 0
-        assert report.backend == "vectorized"
+        assert report.backend == "fused"
 
     def test_identical_timestep_tiles_hit_cache(self, rng):
-        """Repeated spike tiles across timesteps must be cache hits."""
+        """Repeated spike tiles across timesteps are computed once, then
+        served from the cache on the next run."""
         bits = rng.random((64, 16)) < 0.3
         repeated = np.vstack([bits, bits, bits, bits])  # 4 "timesteps"
-        engine = ProsperityEngine(backend="vectorized", tile_m=64, tile_k=16)
-        engine.run([_workload("t", repeated)], batch=1)
-        assert engine.cache.hits >= 3
-        assert engine.cache.misses <= 1
-
-    def test_invalid_batch_rejected(self, rng):
-        engine = ProsperityEngine()
-        with pytest.raises(ValueError, match="batch"):
-            engine.run([_workload("a", rng.random((8, 8)) < 0.5)], batch=0)
-
-    def test_verify_trace_passes_for_vectorized(self, rng):
-        workloads = [_workload("v", rng.random((96, 24)) < 0.25)]
-        engine = ProsperityEngine(backend="vectorized", tile_m=32, tile_k=8)
-        assert engine.verify_trace(workloads)
-        assert engine.verify_trace(workloads, max_tiles=4)
+        engine = ProsperityEngine(backend="fused", tile_m=64, tile_k=16)
+        first = engine.run([_workload("t", repeated)])
+        assert first.unique_tiles == 1
+        assert (engine.cache.hits, engine.cache.misses) == (0, 1)
+        engine.run([_workload("t", repeated)])
+        assert (engine.cache.hits, engine.cache.misses) == (1, 1)
 
 
 class TestSimulatorIntegration:
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
     def test_simulator_results_backend_independent(self, backend, vgg_trace):
         from repro.arch.simulator import ProsperitySimulator
 
@@ -281,7 +259,7 @@ class TestSimulatorIntegration:
         from repro.arch.simulator import ProsperitySimulator
 
         engine = ProsperityEngine(
-            backend="vectorized",
+            backend="fused",
             tile_m=DEFAULT_CONFIG.tile_m,
             tile_k=DEFAULT_CONFIG.tile_k,
         )
@@ -299,12 +277,12 @@ class TestSimulatorIntegration:
             [vgg_trace], m_values=(64,), k_values=(16,), max_tiles=4,
             rng=np.random.default_rng(2), backend="reference",
         )
-        m_vec, k_vec = sweep_tile_sizes(
+        m_fused, k_fused = sweep_tile_sizes(
             [vgg_trace], m_values=(64,), k_values=(16,), max_tiles=4,
-            rng=np.random.default_rng(2), backend="vectorized",
+            rng=np.random.default_rng(2), backend="fused",
         )
-        assert m_ref[0].product_density == pytest.approx(m_vec[0].product_density)
-        assert k_ref[0].latency_vs_bit == pytest.approx(k_vec[0].latency_vs_bit)
+        assert m_ref[0].product_density == pytest.approx(m_fused[0].product_density)
+        assert k_ref[0].latency_vs_bit == pytest.approx(k_fused[0].latency_vs_bit)
 
 
 class TestCliRun:
@@ -314,7 +292,7 @@ class TestCliRun:
         assert main(
             [
                 "run", "--model", "lenet5", "--dataset", "mnist",
-                "--backend", "vectorized", "--batch", "4", "--verify",
+                "--backend", "fused", "--verify",
             ]
         ) == 0
         out = capsys.readouterr().out
@@ -326,6 +304,6 @@ class TestCliRun:
 
         assert main(
             ["run", "--model", "lenet5", "--dataset", "mnist",
-             "--backend", "reference", "--batch", "1"]
+             "--backend", "reference"]
         ) == 0
         assert "backend=reference" in capsys.readouterr().out

@@ -1,9 +1,9 @@
 """Trace-level execution planner: cross-workload batching stays exact.
 
 The acceptance contract: tile records produced by the trace-level
-planner (``plan="trace"``) are bit-identical to the per-matrix fused
-output — and to the reference oracle — for every backend and worker
-count, on ragged shapes, awkward packed widths, and sampled subsets.
+planner, which runs every engine call, are bit-identical to the
+reference oracle for every backend and worker count, on ragged shapes,
+awkward packed widths, and sampled subsets.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.prosparsity import execute_gemm, transform_matrix
 from repro.core.spike_matrix import SpikeMatrix, random_spike_matrix
 from repro.engine import (
     PLAN_MODES,
@@ -21,6 +22,7 @@ from repro.engine import (
     validate_plan_mode,
 )
 from repro.engine.backends import ReferenceBackend
+from repro.engine.fused import FusedBackend
 from repro.engine.planner import PLANNED_PROFILE_STAGES
 from repro.snn.trace import GeMMWorkload
 
@@ -39,9 +41,11 @@ def _workloads(rng, specs):
     ]
 
 
-def _matrix_records(workloads, backend, tile_m=TILE_M, tile_k=TILE_K):
+def _oracle_records(workloads, tile_m=TILE_M, tile_k=TILE_K):
+    """Per-workload tile records from the core (reference) transform."""
     return [
-        backend.matrix_records(w.spikes, tile_m, tile_k) for w in workloads
+        transform_matrix(w.spikes, tile_m, tile_k, keep_transforms=False).tile_records
+        for w in workloads
     ]
 
 
@@ -98,22 +102,19 @@ class TestBufferArena:
 
 class TestPlanModeValidation:
     def test_modes(self):
-        assert PLAN_MODES == ("matrix", "trace")
-        for mode in PLAN_MODES:
-            assert validate_plan_mode(mode) == mode
+        assert PLAN_MODES == ("trace",)
+        assert validate_plan_mode("trace") == "trace"
+        assert ProsperityEngine().plan == "trace"
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError, match="plan mode"):
             validate_plan_mode("async")
         with pytest.raises(ValueError, match="plan mode"):
             ProsperityEngine(plan="bogus")
-        engine = ProsperityEngine(backend="fused")
-        with pytest.raises(ValueError, match="plan mode"):
-            engine.run([], plan="bogus")
 
 
 class TestPlannedRecordEquivalence:
-    """The acceptance property: planner output == per-matrix fused == oracle."""
+    """The acceptance property: planner output == oracle, every backend."""
 
     #: Ragged rows/cols, packed widths of 2/3/5/7 bytes, mixed densities.
     SPECS = (
@@ -127,12 +128,12 @@ class TestPlannedRecordEquivalence:
     def _trace(self, rng):
         return _workloads(rng, self.SPECS)
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized", "fused"])
+    @pytest.mark.parametrize("backend", ["reference", "compiled", "fused"])
     def test_planner_matches_oracle_all_backends(self, rng, backend):
         workloads = self._trace(rng)
-        expected = _matrix_records(workloads, ReferenceBackend())
+        expected = _oracle_records(workloads)
         report = ProsperityEngine(
-            backend=backend, tile_m=TILE_M, tile_k=TILE_K, plan="trace"
+            backend=backend, tile_m=TILE_M, tile_k=TILE_K
         ).run(workloads)
         assert report.plan == "trace"
         assert len(report.runs) == len(expected)
@@ -142,39 +143,17 @@ class TestPlannedRecordEquivalence:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_planner_matches_fused_sharded(self, rng, workers, pooled_sharded):
         workloads = self._trace(rng)
-        from repro.engine import FusedBackend
-
-        expected = _matrix_records(workloads, FusedBackend())
+        expected = _oracle_records(workloads)
         backend = pooled_sharded if workers == 2 else ShardedBackend(workers=1)
         try:
             report = ProsperityEngine(
-                backend=backend, tile_m=TILE_M, tile_k=TILE_K, plan="trace"
+                backend=backend, tile_m=TILE_M, tile_k=TILE_K
             ).run(workloads)
             for run, records in zip(report.runs, expected):
                 assert np.array_equal(run.records, records), (workers, run.name)
         finally:
             if backend is not pooled_sharded:
                 backend.close()
-
-    def test_plan_modes_identical_on_real_trace(self, vgg_trace):
-        matrix_report = ProsperityEngine(
-            backend="fused", tile_m=256, tile_k=16
-        ).run(vgg_trace, batch=8)
-        trace_report = ProsperityEngine(
-            backend="fused", tile_m=256, tile_k=16, plan="trace"
-        ).run(vgg_trace)
-        for mine, theirs in zip(trace_report.runs, matrix_report.runs):
-            assert np.array_equal(mine.records, theirs.records), mine.name
-
-    def test_run_plan_override(self, rng):
-        """`run(plan=...)` overrides the engine default per call."""
-        workloads = self._trace(rng)
-        engine = ProsperityEngine(backend="fused", tile_m=TILE_M, tile_k=TILE_K)
-        default = engine.run(workloads)
-        overridden = engine.run(workloads, plan="trace")
-        assert default.plan == "matrix" and overridden.plan == "trace"
-        for mine, theirs in zip(overridden.runs, default.runs):
-            assert np.array_equal(mine.records, theirs.records)
 
 
 class TestPartialResults:
@@ -185,7 +164,7 @@ class TestPartialResults:
             rng, [(128, 32, 0.3, 0.5), (64, 16, 0.2, 0.0), (192, 48, 0.4, 0.3)]
         )
         backend = ReferenceBackend()
-        expected = _matrix_records(workloads, backend)
+        expected = _oracle_records(workloads)
         planner = TracePlanner()
         completed: dict[int, np.ndarray] = {}
 
@@ -231,8 +210,8 @@ class TestPartialResults:
         workloads_b = _workloads(rng, [(192, 48, 0.4, 0.3)])
         backend = ReferenceBackend()
         expected = {
-            "a": _matrix_records(workloads_a, backend),
-            "b": _matrix_records(workloads_b, backend),
+            "a": _oracle_records(workloads_a),
+            "b": _oracle_records(workloads_b),
         }
         planner = TracePlanner()
         failures: list[str] = []
@@ -265,7 +244,7 @@ class TestDedupStats:
         base = _workloads(rng, [(128, 32, 0.3, 0.5)])
         repeated = base * 4  # four identical "timesteps"
         report = ProsperityEngine(
-            backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
+            backend="fused", tile_m=TILE_M, tile_k=TILE_K
         ).run(repeated)
         assert report.planned_tiles == 4 * base[0].spikes.num_tiles(TILE_M, TILE_K)
         assert report.unique_tiles <= report.planned_tiles // 4
@@ -274,17 +253,9 @@ class TestDedupStats:
         for run in report.runs[1:]:
             assert np.array_equal(run.records, report.runs[0].records)
 
-    def test_matrix_mode_reports_no_dedup(self, rng):
-        report = ProsperityEngine(
-            backend="fused", tile_m=TILE_M, tile_k=TILE_K
-        ).run(_workloads(rng, [(64, 16, 0.3, 0.0)]))
-        assert report.planned_tiles == 0
-        assert report.unique_tiles == 0
-        assert report.dedup_ratio == 0.0
-
     def test_planned_profile_stages(self, rng):
         report = ProsperityEngine(
-            backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
+            backend="fused", tile_m=TILE_M, tile_k=TILE_K
         ).run(_workloads(rng, [(128, 32, 0.3, 0.5), (64, 16, 0.2, 0.0)]))
         assert set(report.profile) == set(PLANNED_PROFILE_STAGES)
         assert all(seconds >= 0.0 for seconds in report.profile.values())
@@ -294,7 +265,7 @@ class TestArenaReuse:
     def test_second_run_allocates_nothing(self, rng):
         workloads = _workloads(rng, [(130, 17, 0.3, 0.4), (64, 33, 0.2, 0.0)])
         engine = ProsperityEngine(
-            backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
+            backend="fused", tile_m=TILE_M, tile_k=TILE_K
         )
         engine.run(workloads)
         arena = engine.planner.arena
@@ -303,7 +274,7 @@ class TestArenaReuse:
         second = engine.run(workloads)
         assert arena.allocations == allocations  # no churn on re-plan
         assert arena.reuses > reuses
-        expected = _matrix_records(workloads, ReferenceBackend())
+        expected = _oracle_records(workloads)
         for run, records in zip(second.runs, expected):
             assert np.array_equal(run.records, records)
 
@@ -312,7 +283,7 @@ class TestArenaReuse:
         first_trace = _workloads(rng, [(128, 16, 0.3, 0.4)])
         second_trace = _workloads(rng, [(128, 16, 0.6, 0.1)])
         engine = ProsperityEngine(
-            backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
+            backend="fused", tile_m=TILE_M, tile_k=TILE_K
         )
         first = engine.run(first_trace)
         kept = first.runs[0].records.copy()
@@ -324,7 +295,7 @@ class TestTransformTrace:
     def test_matches_per_matrix_loop(self, rng):
         workloads = _workloads(rng, [(130, 17, 0.3, 0.4), (64, 16, 0.2, 0.0)])
         engine = ProsperityEngine(
-            backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
+            backend="fused", tile_m=TILE_M, tile_k=TILE_K
         )
         loop = [
             ProsperityEngine(backend="fused", tile_m=TILE_M, tile_k=TILE_K)
@@ -341,20 +312,16 @@ class TestTransformTrace:
             SpikeMatrix(rng.random((64, 16)) < 0.2).bits,  # raw ndarray
         ]
         engine = ProsperityEngine(
-            backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
+            backend="fused", tile_m=TILE_M, tile_k=TILE_K
         )
         results = engine.transform_trace(matrices)
         assert len(results) == 2
-        oracle = ReferenceBackend()
         for matrix, result in zip(matrices, results):
-            matrix = matrix if isinstance(matrix, SpikeMatrix) else SpikeMatrix(matrix)
-            assert np.array_equal(
-                result.tile_records,
-                oracle.matrix_records(matrix, TILE_M, TILE_K),
-            )
+            expected = transform_matrix(matrix, TILE_M, TILE_K, keep_transforms=False)
+            assert np.array_equal(result.tile_records, expected.tile_records)
 
     def test_empty_trace(self):
-        engine = ProsperityEngine(backend="fused", plan="trace")
+        engine = ProsperityEngine(backend="fused")
         assert engine.transform_trace([]) == []
         report = engine.run([])
         assert report.runs == [] and report.planned_tiles == 0
@@ -364,27 +331,30 @@ class TestPlannedGemm:
     def test_integer_weights_exact(self, rng):
         matrix = random_spike_matrix(130, 33, 0.3, rng, 0.4)
         weights = rng.integers(-5, 6, size=(33, 9))
-        per_tile = ProsperityEngine(
-            backend="vectorized", tile_m=TILE_M, tile_k=TILE_K
-        ).execute_gemm(matrix, weights)
+        expected = execute_gemm(matrix, weights, tile_m=TILE_M, tile_k=TILE_K)
         planned = ProsperityEngine(
-            backend="vectorized", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
+            backend="fused", tile_m=TILE_M, tile_k=TILE_K
         ).execute_gemm(matrix, weights)
-        assert np.array_equal(per_tile, planned)
+        assert np.array_equal(expected, planned)
         dense = matrix.bits.astype(np.int64) @ weights.astype(np.int64)
         assert np.array_equal(planned, dense)
 
     def test_float_weights_same_summation_order(self, rng):
         matrix = random_spike_matrix(96, 40, 0.25, rng, 0.3)
         weights = rng.standard_normal((40, 5))
-        per_tile = ProsperityEngine(
-            backend="vectorized", tile_m=32, tile_k=16
-        ).execute_gemm(matrix, weights)
+        backend = FusedBackend()
+        per_tile = np.zeros((matrix.rows, 5))
+        for tile in matrix.tile(32, 16):
+            start = tile.coord.col_start
+            rows = slice(tile.coord.row_start, tile.coord.row_start + tile.m)
+            per_tile[rows] += backend.execute(
+                backend.forest(tile), weights[start : start + tile.k]
+            )
         planned = ProsperityEngine(
-            backend="vectorized", tile_m=32, tile_k=16, plan="trace"
+            backend=backend, tile_m=32, tile_k=16
         ).execute_gemm(matrix, weights)
-        # Accumulation runs in row-major tile order in both paths, so
-        # even float outputs are bit-equal, not merely close.
+        # The planner accumulates in row-major tile order, like the
+        # per-tile loop, so even float outputs are bit-equal.
         assert np.array_equal(per_tile, planned)
 
 
@@ -424,7 +394,7 @@ class TestCliPlan:
         assert main(
             [
                 "run", "--model", "lenet5", "--dataset", "mnist",
-                "--backend", "fused", "--plan", "trace",
+                "--backend", "fused",
             ]
         ) == 0
         out = capsys.readouterr().out

@@ -1,6 +1,6 @@
 """EngineReport.profile contract: stages are real, nested wall-clock.
 
-For every backend and plan mode that reports a profile, stage times must
+For every backend, stage times must
 be non-negative, cover exactly the declared stage set, and — because
 every stage timer is nested inside the run's timed window (including the
 sharded backend's proportional worker attribution) — sum to no more
@@ -45,10 +45,10 @@ def pooled_sharded():
     backend.close()
 
 
-def _run(backend, plan, trace):
-    engine = ProsperityEngine(backend=backend, tile_m=64, tile_k=16, plan=plan)
+def _run(backend, trace):
+    engine = ProsperityEngine(backend=backend, tile_m=64, tile_k=16)
     start = time.perf_counter()
-    report = engine.run(trace, batch=4)
+    report = engine.run(trace)
     elapsed = time.perf_counter() - start
     return report, elapsed
 
@@ -65,14 +65,11 @@ def _assert_profile_contract(report, elapsed, declared):
 
 
 class TestProfileContract:
-    @pytest.mark.parametrize("plan", ["matrix", "trace"])
-    def test_fused(self, rng, plan):
-        report, elapsed = _run("fused", plan, _trace(rng))
-        declared = PLANNED_PROFILE_STAGES if plan == "trace" else PROFILE_STAGES
-        _assert_profile_contract(report, elapsed, declared)
+    def test_fused(self, rng):
+        report, elapsed = _run("fused", _trace(rng))
+        _assert_profile_contract(report, elapsed, PLANNED_PROFILE_STAGES)
 
-    @pytest.mark.parametrize("plan", ["matrix", "trace"])
-    def test_sharded_worker_attribution(self, rng, plan, pooled_sharded):
+    def test_sharded_worker_attribution(self, rng, pooled_sharded):
         """Sharded select/record are scaled to parent wall-clock, so the
         sum stays bounded even though workers overlap."""
         # Enough tiles that the pool path engages (>= 2 shards).
@@ -83,35 +80,29 @@ class TestProfileContract:
                 n=8,
             )
         ]
-        report, elapsed = _run(pooled_sharded, plan, trace)
-        declared = PLANNED_PROFILE_STAGES if plan == "trace" else PROFILE_STAGES
-        _assert_profile_contract(report, elapsed, declared)
+        report, elapsed = _run(pooled_sharded, trace)
+        _assert_profile_contract(report, elapsed, PLANNED_PROFILE_STAGES)
         assert report.workers == 2
         assert report.profile["select"] > 0.0
 
-    def test_vectorized_matrix_mode_has_no_profile(self, rng):
-        """Backends without stage instrumentation report an empty profile."""
-        report, _ = _run("vectorized", "matrix", _trace(rng))
-        assert report.profile == {}
-
-    def test_vectorized_trace_mode_reports_planner_stages(self, rng):
+    def test_reference_reports_planner_stages(self, rng):
         """The planner's own stages are engine-timed for any backend."""
-        report, elapsed = _run("vectorized", "trace", _trace(rng))
+        report, elapsed = _run("reference", _trace(rng))
         _assert_profile_contract(report, elapsed, PLANNED_PROFILE_STAGES)
         assert report.profile["pack"] > 0.0
         assert report.profile["record"] > 0.0  # kernel loop engine-timed
 
     def test_stage_sum_close_to_total_for_fused(self, rng):
         """Stages should account for most of the run, not just a sliver."""
-        report, _ = _run("fused", "trace", _trace(rng))
+        report, _ = _run("fused", _trace(rng))
         assert sum(report.profile.values()) >= 0.5 * report.total_seconds
 
     def test_profile_isolated_between_runs(self, rng):
         """Per-run profiles are deltas, not lifetime accumulations."""
         engine = ProsperityEngine(backend="fused", tile_m=64, tile_k=16)
         trace = _trace(rng)
-        first = engine.run(trace, batch=4)
-        second = engine.run(trace, batch=4)
+        first = engine.run(trace)
+        second = engine.run(trace)
         for stage in PROFILE_STAGES:
             # A lifetime accumulation would roughly double; a delta stays
             # in the same ballpark (10x headroom for scheduler noise).
@@ -120,7 +111,7 @@ class TestProfileContract:
             ), stage
 
     def test_workload_seconds_sum_to_total(self, rng):
-        report, _ = _run("fused", "trace", _trace(rng))
+        report, _ = _run("fused", _trace(rng))
         assert report.total_seconds == pytest.approx(
             sum(run.seconds for run in report.runs)
         )

@@ -1,9 +1,9 @@
-"""``max_tiles`` sampling composed with the fused and planner paths.
+"""``max_tiles`` sampling composed with the trace planner.
 
 Sampling must stay an unbiased, deterministic subset regardless of how
 the records are computed: the sampled fraction is exact, sampled records
 are a strict subset of the full-matrix records, and a fixed RNG seed
-reproduces the same sample through every backend and plan mode.
+reproduces the same sample through every backend.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ def matrix(rng):
     return random_spike_matrix(TILE_M * 20 - 10, TILE_K * 3 - 5, 0.3, rng, 0.4)
 
 
-def _engine(backend, plan):
-    return ProsperityEngine(backend=backend, tile_m=TILE_M, tile_k=TILE_K, plan=plan)
+def _engine(backend):
+    return ProsperityEngine(backend=backend, tile_m=TILE_M, tile_k=TILE_K)
 
 
 def _record_multiset(records):
@@ -34,11 +34,10 @@ def _record_multiset(records):
 
 
 class TestSampledFraction:
-    @pytest.mark.parametrize("backend", ["vectorized", "fused"])
-    @pytest.mark.parametrize("plan", ["matrix", "trace"])
-    def test_fraction_exact(self, matrix, backend, plan):
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    def test_fraction_exact(self, matrix, backend):
         total = matrix.num_tiles(TILE_M, TILE_K)
-        result = _engine(backend, plan).transform_matrix(
+        result = _engine(backend).transform_matrix(
             matrix, max_tiles=MAX_TILES, rng=np.random.default_rng(11)
         )
         assert len(result.tile_records) == MAX_TILES
@@ -46,7 +45,7 @@ class TestSampledFraction:
 
     def test_no_sampling_when_under_cap(self, rng):
         small = random_spike_matrix(TILE_M, TILE_K, 0.3, rng)
-        result = _engine("fused", "trace").transform_matrix(
+        result = _engine("fused").transform_matrix(
             small, max_tiles=MAX_TILES, rng=np.random.default_rng(11)
         )
         assert result.stats.sample_fraction == 1.0
@@ -54,10 +53,9 @@ class TestSampledFraction:
 
 
 class TestSampledSubset:
-    @pytest.mark.parametrize("backend", ["vectorized", "fused"])
-    @pytest.mark.parametrize("plan", ["matrix", "trace"])
-    def test_records_strict_subset_of_full(self, matrix, backend, plan):
-        engine = _engine(backend, plan)
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    def test_records_strict_subset_of_full(self, matrix, backend):
+        engine = _engine(backend)
         sampled = engine.transform_matrix(
             matrix, max_tiles=MAX_TILES, rng=np.random.default_rng(11)
         )
@@ -69,7 +67,7 @@ class TestSampledSubset:
 
     def test_sample_counts_bounded_by_full(self, matrix):
         """Each distinct record appears at most as often as in the full set."""
-        engine = _engine("fused", "trace")
+        engine = _engine("fused")
         sampled = engine.transform_matrix(
             matrix, max_tiles=MAX_TILES, rng=np.random.default_rng(11)
         )
@@ -83,10 +81,9 @@ class TestSampledSubset:
 
 
 class TestSampledDeterminism:
-    @pytest.mark.parametrize("backend", ["vectorized", "fused"])
-    @pytest.mark.parametrize("plan", ["matrix", "trace"])
-    def test_fixed_seed_reproduces(self, matrix, backend, plan):
-        engine = _engine(backend, plan)
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    def test_fixed_seed_reproduces(self, matrix, backend):
+        engine = _engine(backend)
         first = engine.transform_matrix(
             matrix, max_tiles=MAX_TILES, rng=np.random.default_rng(42)
         )
@@ -95,33 +92,22 @@ class TestSampledDeterminism:
         )
         assert np.array_equal(first.tile_records, second.tile_records)
 
-    @pytest.mark.parametrize("plan", ["matrix", "trace"])
-    def test_matches_core_sampled_path(self, matrix, plan):
+    def test_matches_core_sampled_path(self, matrix):
         """Same seed, same tiles, same records as the core oracle path."""
         core = transform_matrix(
             matrix, TILE_M, TILE_K, keep_transforms=False,
             max_tiles=MAX_TILES, rng=np.random.default_rng(7),
         )
-        engine = _engine("fused", plan).transform_matrix(
+        engine = _engine("fused").transform_matrix(
             matrix, max_tiles=MAX_TILES, rng=np.random.default_rng(7)
         )
         assert np.array_equal(core.tile_records, engine.tile_records)
         assert core.stats.sample_fraction == engine.stats.sample_fraction
 
-    def test_plan_modes_sample_identically(self, matrix):
-        """Both plan modes draw the same RNG sequence tile for tile."""
-        a = _engine("fused", "matrix").transform_matrix(
-            matrix, max_tiles=MAX_TILES, rng=np.random.default_rng(3)
-        )
-        b = _engine("fused", "trace").transform_matrix(
-            matrix, max_tiles=MAX_TILES, rng=np.random.default_rng(3)
-        )
-        assert np.array_equal(a.tile_records, b.tile_records)
-
 
 class TestSampledTraceComposition:
     def test_default_rng_matches_per_workload_reseed(self, rng):
-        """rng=None seeds default_rng(0) *per workload* in both modes.
+        """rng=None seeds default_rng(0) *per workload*.
 
         transform_matrix reseeds per call, so the trace plan must too —
         a single shared generator would diverge from workload 1 on.
@@ -130,12 +116,11 @@ class TestSampledTraceComposition:
             random_spike_matrix(TILE_M * 20, TILE_K * 2, 0.3, rng, 0.4)
             for _ in range(3)
         ]
-        planned = _engine("fused", "trace").transform_trace(
-            matrices, max_tiles=MAX_TILES
-        )
-        loop = _engine("fused", "matrix").transform_trace(
-            matrices, max_tiles=MAX_TILES
-        )
+        planned = _engine("fused").transform_trace(matrices, max_tiles=MAX_TILES)
+        loop = [
+            _engine("fused").transform_matrix(m, max_tiles=MAX_TILES)
+            for m in matrices
+        ]
         for mine, theirs in zip(planned, loop):
             assert np.array_equal(mine.tile_records, theirs.tile_records)
 
@@ -143,13 +128,14 @@ class TestSampledTraceComposition:
         """transform_trace mixes sampled + exact workloads in one plan."""
         big = random_spike_matrix(TILE_M * 20, TILE_K * 2, 0.3, rng, 0.4)
         small = random_spike_matrix(TILE_M, TILE_K, 0.3, rng)
-        engine = _engine("fused", "trace")
-        planned = engine.transform_trace(
+        planned = _engine("fused").transform_trace(
             [big, small], max_tiles=MAX_TILES, rng=np.random.default_rng(5)
         )
-        loop = _engine("fused", "matrix").transform_trace(
-            [big, small], max_tiles=MAX_TILES, rng=np.random.default_rng(5)
-        )
+        loop_rng = np.random.default_rng(5)
+        loop = [
+            _engine("fused").transform_matrix(m, max_tiles=MAX_TILES, rng=loop_rng)
+            for m in (big, small)
+        ]
         for mine, theirs in zip(planned, loop):
             assert np.array_equal(mine.tile_records, theirs.tile_records)
             assert mine.stats.sample_fraction == theirs.stats.sample_fraction

@@ -66,11 +66,10 @@ from repro.api.session import (
     Session,
     StreamRunResult,
 )
-from repro.engine import EngineReport, ProsperityEngine, WorkloadRun
+from repro.engine import ProsperityEngine, WorkloadRun
 from repro.engine import faults
 from repro.engine.parallel import PoolBrokenError
 from repro.engine.pipeline import stats_from_records
-from repro.engine.planner import PLANNED_PROFILE_STAGES
 from repro.engine.store import open_store
 from repro.workloads import get_trace
 
@@ -957,9 +956,9 @@ class Scheduler:
         Every job's workloads enter one trace plan: shared shape
         buckets, one global content dedup, one kernel launch per bucket
         through the (possibly sharded) backend, then per-job
-        scatter-back into individual :class:`EngineReport` objects.
-        Batch-scoped numbers (profile, cache traffic, planned/unique
-        tile counts) are attached to every job's report.
+        scatter-back into individual :class:`~repro.engine.EngineReport`
+        objects. Batch-scoped numbers (profile, cache traffic,
+        planned/unique tile counts) are attached to every job's report.
 
         Failure semantics: a failed batch is retried while the failure
         is transient (bounded by ``resilience.retries``); a persistent
@@ -1090,14 +1089,6 @@ class Scheduler:
         for position, (_, _, workloads) in enumerate(jobs):
             owners.extend((position, local) for local in range(len(workloads)))
         sources = [w.spikes for _, _, workloads in jobs for w in workloads]
-        cache = engine.cache
-        hits0 = cache.hits if cache else 0
-        misses0 = cache.misses if cache else 0
-        store = engine.store
-        store0 = store.counters() if store is not None else {}
-        profile0 = dict(getattr(engine.backend, "profile", None) or {})
-        counters0 = engine.backend.failure_counters()
-        profile = {stage: 0.0 for stage in PLANNED_PROFILE_STAGES}
         started = time.perf_counter()
         assemblers = [
             _ChunkAssembler(handle, started) if handle.streaming else None
@@ -1126,37 +1117,9 @@ class Scheduler:
             )
 
         streaming = any(assembler is not None for assembler in assemblers)
-        with engine.planner.exclusive():
-            plan = engine.planner.plan(
-                sources, engine.tile_m, engine.tile_k, profile=profile
-            )
-            per_workload = engine.planner.execute(
-                plan,
-                engine.backend,
-                cache=cache,
-                profile=profile,
-                on_workload=on_workload if streaming else None,
-            )
-        elapsed = time.perf_counter() - started
-        backend_profile = getattr(engine.backend, "profile", None)
-        if backend_profile:
-            for stage, seconds in backend_profile.items():
-                profile[stage] = (
-                    profile.get(stage, 0.0) + seconds - profile0.get(stage, 0.0)
-                )
-        cache_hits = (cache.hits - hits0) if cache else 0
-        cache_misses = (cache.misses - misses0) if cache else 0
-        store1 = store.counters() if store is not None else {}
-        store_delta = {
-            name: store1.get(name, 0) - store0.get(name, 0) for name in store1
-        }
-        counters1 = engine.backend.failure_counters()
-        pool_rebuilds = counters1.get("pool_rebuilds", 0) - counters0.get(
-            "pool_rebuilds", 0
+        per_workload, account = engine.execute_batch(
+            sources, on_workload=on_workload if streaming else None
         )
-        backend_retries = counters1.get("retries", 0) - counters0.get("retries", 0)
-        degraded = counters1.get("degraded") if counters1 else None
-        total = plan.total_tiles
         # Book the batch before delivering results: a client that
         # wakes on its future must already see the serving counters.
         self.batches += 1
@@ -1165,49 +1128,22 @@ class Scheduler:
 
         offset = 0
         for position, (handle, trace, workloads) in enumerate(jobs):
-            job_records = per_workload[offset : offset + len(workloads)]
+            # Copy out of the batch-wide records array: one client's
+            # retained result must only hold its own records, not the
+            # whole coalesced batch.
+            job_records = [
+                records.copy()
+                for records in per_workload[offset : offset + len(workloads)]
+            ]
             offset += len(workloads)
-            report = EngineReport(
-                backend=engine.backend.name,
-                tile_m=engine.tile_m,
-                tile_k=engine.tile_k,
+            # Every job's report carries the batch-scoped account
+            # (profile, cache, store and supervision deltas).
+            report = engine.build_report(
+                account,
+                account.workload_runs(workloads, job_records),
                 model=trace.model,
                 dataset=trace.dataset,
-                workers=getattr(engine.backend, "workers", None),
-                planned_tiles=plan.total_tiles,
-                unique_tiles=plan.unique_tiles,
-                cache_hits=cache_hits,
-                cache_misses=cache_misses,
-                # Batch-scoped persistent-store traffic, like cache.
-                store_hits=store_delta.get("store_hits", 0),
-                store_misses=store_delta.get("store_misses", 0),
-                store_corrupt=store_delta.get("store_corrupt", 0),
-                store_evictions=store_delta.get("store_evictions", 0),
-                store_active=store.enabled if store is not None else None,
-                profile=dict(profile),
-                jit_active=getattr(engine.backend, "jit_active", None),
-                # Batch-scoped supervision deltas, like profile/cache.
-                pool_rebuilds=pool_rebuilds,
-                retries=backend_retries,
-                degraded=degraded,
             )
-            job_tiles = 0
-            for workload, records in zip(workloads, job_records):
-                job_tiles += len(records)
-                # Copy out of the batch-wide records array: one
-                # client's retained result must only hold its own
-                # records, not the whole coalesced batch.
-                records = records.copy()
-                report.runs.append(
-                    WorkloadRun(
-                        name=workload.name,
-                        kind=workload.kind,
-                        tiles=len(records),
-                        records=records,
-                        stats=stats_from_records(records),
-                        seconds=elapsed * (len(records) / total) if total else 0.0,
-                    )
-                )
             verified = None
             if handle.config.engine.verify:
                 verified = engine.verify_trace(trace)
@@ -1217,7 +1153,7 @@ class Scheduler:
             handle.future.set_result(
                 EngineRunResult(
                     config=handle.config,
-                    seconds=elapsed * (job_tiles / total) if total else 0.0,
+                    seconds=account.seconds_for(report.total_tiles),
                     report=report,
                     verified=verified,
                 )

@@ -32,6 +32,7 @@ from repro.engine.planner import (
     validate_plan_mode,
 )
 from repro.engine.pipeline import (
+    BatchAccount,
     EngineReport,
     ForestCache,
     ProsperityEngine,
@@ -42,6 +43,7 @@ from repro.engine.store import ResultStore, StoreStats, default_store_path
 
 __all__ = [
     "Backend",
+    "BatchAccount",
     "BufferArena",
     "DEFAULT_BACKEND",
     "CompiledBackend",

@@ -59,6 +59,10 @@ class Backend(ABC):
 
     name: str = "abstract"
 
+    #: Profile stages this backend books beyond the planner's
+    #: (``PLANNED_PROFILE_STAGES``); reports carry them even when zero.
+    profile_stages: tuple[str, ...] = ()
+
     @classmethod
     def availability(cls) -> str | None:
         """Install/availability note for this backend, or ``None``.
@@ -92,8 +96,8 @@ class Backend(ABC):
         Supervised backends (``sharded``) report ``pool_rebuilds`` /
         ``retries`` / ``degraded``; the base returns an empty dict so
         callers can snapshot-and-diff uniformly (see
-        ``ProsperityEngine.run``, which surfaces per-run deltas in
-        ``EngineReport``).
+        ``ProsperityEngine.execute_batch``, which surfaces per-batch
+        deltas in ``EngineReport``).
         """
         return {}
 

@@ -23,11 +23,12 @@ instance:
 
 JIT compilation cost is paid once per process through the eager
 :meth:`CompiledBackend.warmup` seam (auto-invoked before the first
-kernel dispatch) and is booked under its own ``warmup`` profile stage,
-so ``EngineReport.profile`` attributes compile time separately from
-kernel time. ``cache=True`` persists the compiled machine code next to
-this file (``__pycache__``), so warm processes and CI runs with a
-restored cache skip recompilation entirely.
+kernel dispatch) and is booked under its own ``warmup`` stage in the
+profile of the dispatch that pays it, so ``EngineReport.profile``
+attributes compile time separately from kernel time. ``cache=True``
+persists the compiled machine code next to this file
+(``__pycache__``), so warm processes and CI runs with a restored cache
+skip recompilation entirely.
 
 The kernel body (:func:`_tile_records_impl`) is written in
 nopython-compatible Python and stays runnable *without* numba —
@@ -47,7 +48,7 @@ import numpy as np
 from repro.core.forest import NO_PREFIX
 from repro.core.prosparsity import TILE_RECORD_FIELDS
 from repro.engine.backends import register_backend
-from repro.engine.fused import FusedBackend
+from repro.engine.fused import FusedBackend, add_stage
 
 __all__ = [
     "CompiledBackend",
@@ -251,10 +252,9 @@ class CompiledBackend(FusedBackend):
     """
 
     name = "compiled"
+    profile_stages = ("warmup",)
 
     def __init__(self):
-        super().__init__()
-        self.profile["warmup"] = 0.0
         self._warmed = False
         #: True when records come from the compiled kernel; False means
         #: every call transparently runs the fused NumPy fallback.
@@ -270,13 +270,14 @@ class CompiledBackend(FusedBackend):
         )
 
     # -- warmup ---------------------------------------------------------
-    def warmup(self) -> bool:
+    def warmup(self, profile: dict[str, float] | None = None) -> bool:
         """Compile (or cache-load) the JIT kernel now; idempotent.
 
         Returns ``jit_active`` after the attempt. The one-time cost is
-        booked under the ``warmup`` profile stage so engine reports
-        separate compile time from kernel time; call it eagerly (e.g. at
-        service startup) to keep the first request's latency flat. If
+        booked under the ``warmup`` stage of ``profile`` (the first
+        dispatch passes its run's profile) so engine reports separate
+        compile time from kernel time; call it eagerly (e.g. at service
+        startup) to keep the first request's latency flat. If
         compilation itself fails, the backend degrades to the NumPy
         fallback instead of erroring.
         """
@@ -293,17 +294,21 @@ class CompiledBackend(FusedBackend):
             _jit_error = f"numba compilation failed: {exc}"
             self.jit_active = False
         self._warmed = True
-        self.profile["warmup"] += time.perf_counter() - start
+        add_stage(profile, "warmup", time.perf_counter() - start)
         return self.jit_active
 
     # -- kernel dispatch ------------------------------------------------
     def _compute_records(
-        self, codes: np.ndarray, popcounts: np.ndarray, k: int
+        self,
+        codes: np.ndarray,
+        popcounts: np.ndarray,
+        k: int,
+        profile: dict[str, float] | None = None,
     ) -> np.ndarray:
         if not self._warmed:
-            self.warmup()
+            self.warmup(profile)
         if not self.jit_active:
-            return super()._compute_records(codes, popcounts, k)
+            return super()._compute_records(codes, popcounts, k, profile)
         start = time.perf_counter()
         # One kernel signature: narrower code words zero-extend to
         # uint64 (bitwise algebra and equality are width-agnostic).
@@ -311,5 +316,5 @@ class CompiledBackend(FusedBackend):
         pops = np.ascontiguousarray(popcounts, dtype=np.int64)
         records = np.empty((codes64.shape[0], _NFIELDS), dtype=np.int64)
         _jit_kernel(codes64, pops, k, records)
-        self.profile["select"] += time.perf_counter() - start
+        add_stage(profile, "select", time.perf_counter() - start)
         return records

@@ -34,9 +34,9 @@ bytes) hit this path.
 Per-tile entry points (:meth:`FusedBackend.forest` and
 :meth:`FusedBackend.execute`, used for kept transforms and GeMM
 execution) run the same batched Pruner over a one-tile stack.
-Kernel wall-clock accumulates in ``FusedBackend.profile`` under
-``select`` / ``record`` and surfaces in
-:class:`~repro.engine.pipeline.EngineReport`.
+Kernel wall-clock books under ``select`` / ``record`` into the profile
+dict the caller passes in — the planner passes its run's profile, which
+surfaces in :class:`~repro.engine.pipeline.EngineReport`.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from repro.utils.bitops import popcount_rows
 __all__ = [
     "FusedBackend",
     "PROFILE_STAGES",
+    "add_stage",
     "build_tile_parts",
     "cached_unique_records",
     "chain_depths",
@@ -66,7 +67,7 @@ __all__ = [
     "select_prefixes_batch",
 ]
 
-#: Stage keys the fused kernels book into their backend's profile.
+#: Stage keys the fused kernels book into the profile they are given.
 PROFILE_STAGES = ("select", "record")
 
 #: Element budget for one (chunk, m, m) candidate block (bounds peak memory).
@@ -78,6 +79,12 @@ _COL_BLOCK = 64
 
 # Smallest unsigned dtype able to hold a packed row of the given byte width.
 _CODE_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def add_stage(profile: dict[str, float] | None, stage: str, seconds: float) -> None:
+    """Book ``seconds`` under ``stage`` (no-op without a profile)."""
+    if profile is not None:
+        profile[stage] = profile.get(stage, 0.0) + seconds
 
 
 def code_width(nbytes: int) -> int:
@@ -240,9 +247,8 @@ def records_from_codes_batch(
     records[:, 6] = (reused & (residual == 0) & (popcounts > 0)).sum(axis=1)
     records[:, 7] = reused.sum(axis=1)
     records[:, 8] = depths
-    if profile is not None:
-        profile["select"] = profile.get("select", 0.0) + (mid - start)
-        profile["record"] = profile.get("record", 0.0) + (time.perf_counter() - mid)
+    add_stage(profile, "select", mid - start)
+    add_stage(profile, "record", time.perf_counter() - mid)
     return records
 
 
@@ -395,13 +401,11 @@ class FusedBackend(Backend):
     The trace planner feeds whole deduplicated bucket stacks to
     :meth:`_compute_records`; the per-tile :meth:`forest` and
     :meth:`execute` run the same Pruner over a one-tile stack. Kernel
-    wall-clock per stage accumulates in :attr:`profile`.
+    wall-clock per stage books into the profile passed to
+    :meth:`_compute_records`.
     """
 
     name = "fused"
-
-    def __init__(self):
-        self.profile: dict[str, float] = {stage: 0.0 for stage in PROFILE_STAGES}
 
     def forest(self, tile: SpikeTile) -> ProSparsityForest:
         popcounts = popcount_rows(tile.packed)
@@ -439,8 +443,13 @@ class FusedBackend(Backend):
         return out
 
     def _compute_records(
-        self, codes: np.ndarray, popcounts: np.ndarray, k: int
+        self,
+        codes: np.ndarray,
+        popcounts: np.ndarray,
+        k: int,
+        profile: dict[str, float] | None = None,
     ) -> np.ndarray:
-        """Kernel dispatch for one deduplicated stack (sharding seam)."""
+        """Kernel dispatch for one deduplicated stack (sharding seam);
+        ``select``/``record`` seconds book into ``profile``."""
         faults.kernel_fault("fused.compute_records")
-        return records_from_codes_batch(codes, popcounts, k, profile=self.profile)
+        return records_from_codes_batch(codes, popcounts, k, profile=profile)

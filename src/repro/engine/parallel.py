@@ -38,7 +38,7 @@ import numpy as np
 from repro.core.prosparsity import TILE_RECORD_FIELDS
 from repro.engine import faults
 from repro.engine.backends import register_backend, validate_workers
-from repro.engine.fused import FusedBackend, records_from_codes_batch
+from repro.engine.fused import FusedBackend, add_stage, records_from_codes_batch
 
 __all__ = ["PoolBrokenError", "ShardedBackend", "shard_bounds"]
 
@@ -184,15 +184,19 @@ class ShardedBackend(FusedBackend):
 
     # -- kernel dispatch ------------------------------------------------
     def _compute_records(
-        self, codes: np.ndarray, popcounts: np.ndarray, k: int
+        self,
+        codes: np.ndarray,
+        popcounts: np.ndarray,
+        k: int,
+        profile: dict[str, float] | None = None,
     ) -> np.ndarray:
         total = codes.shape[0]
         if self.degraded or self.workers == 1 or total < 2 * MIN_TILES_PER_SHARD:
-            return super()._compute_records(codes, popcounts, k)
+            return super()._compute_records(codes, popcounts, k, profile)
         faults.kernel_fault("sharded.dispatch")
         while True:
             try:
-                return self._dispatch_shards(codes, popcounts, k)
+                return self._dispatch_shards(codes, popcounts, k, profile)
             except BrokenProcessPool as exc:
                 self._discard_pool()
                 # A harness-killed worker spent one trigger in the child;
@@ -205,14 +209,18 @@ class ShardedBackend(FusedBackend):
                     continue
                 if self.degrade:
                     self.degraded = True
-                    return super()._compute_records(codes, popcounts, k)
+                    return super()._compute_records(codes, popcounts, k, profile)
                 raise PoolBrokenError(
                     "sharded worker pool broke and the rebuild budget "
                     f"({self.max_rebuilds}) is exhausted"
                 ) from exc
 
     def _dispatch_shards(
-        self, codes: np.ndarray, popcounts: np.ndarray, k: int
+        self,
+        codes: np.ndarray,
+        popcounts: np.ndarray,
+        k: int,
+        profile: dict[str, float] | None,
     ) -> np.ndarray:
         """One pooled dispatch over the stack; raises ``BrokenProcessPool``
         if a worker dies (the supervisor in :meth:`_compute_records`
@@ -262,6 +270,6 @@ class ShardedBackend(FusedBackend):
         record_share = (
             elapsed * record_seconds / kernel_seconds if kernel_seconds else 0.0
         )
-        self.profile["record"] += record_share
-        self.profile["select"] += elapsed - record_share
+        add_stage(profile, "record", record_share)
+        add_stage(profile, "select", elapsed - record_share)
         return records

@@ -20,7 +20,9 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -52,6 +54,7 @@ from repro.engine.planner import (
 from repro.snn.trace import GeMMWorkload, ModelTrace
 
 __all__ = [
+    "BatchAccount",
     "EngineReport",
     "ForestCache",
     "ProsperityEngine",
@@ -150,14 +153,7 @@ class ForestCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
-    # -- records --------------------------------------------------------
-    def get_record(self, m: int, k: int, packed: np.ndarray):
-        return self.get_record_by_key(self.key(m, k, packed))
-
-    def put_record(self, m: int, k: int, packed: np.ndarray, record) -> None:
-        self.put_record_by_key(self.key(m, k, packed), record)
-
-    # -- key-based record access (batched/deduplicated paths) -----------
+    # -- records (keyed by :meth:`key`) -----------------------------------
     def get_record_by_key(self, key: tuple):
         """Record lookup with a precomputed :meth:`key` (hash once per
         unique tile content, as the fused/sharded dedup does).
@@ -213,6 +209,88 @@ class WorkloadRun:
         return self.tiles / self.seconds if self.seconds > 0 else 0.0
 
 
+@dataclass(frozen=True)
+class BatchAccount:
+    """Wall-clock and counter deltas of one planned batch.
+
+    Only :meth:`ProsperityEngine.execute_batch` measures one: it takes
+    every snapshot inside the planner lock, so the deltas are the
+    batch's own and never include another thread's run on the same
+    engine. ``elapsed`` is the batch's plan+execute wall-clock (lock
+    wait excluded) and ``profile`` its stage seconds, nested inside
+    ``elapsed``. Accounts add up (``a + b``): times and counts sum,
+    while the states ``store_active``/``degraded``/``jit_active`` keep
+    the later batch's value — a stream's report is the sum of its
+    windows' accounts.
+    """
+
+    elapsed: float = 0.0
+    profile: Mapping[str, float] = field(
+        default_factory=lambda: MappingProxyType({})
+    )
+    planned_tiles: int = 0
+    unique_tiles: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    store_hits: int = 0
+    store_misses: int = 0
+    store_corrupt: int = 0
+    store_evictions: int = 0
+    store_active: bool | None = None
+    pool_rebuilds: int = 0
+    retries: int = 0
+    degraded: bool | None = None
+    jit_active: bool | None = None
+
+    def __add__(self, other: "BatchAccount") -> "BatchAccount":
+        profile = dict(self.profile)
+        for stage, seconds in other.profile.items():
+            profile[stage] = profile.get(stage, 0.0) + seconds
+        summed = {name: getattr(self, name) + getattr(other, name) for name in _SUMMED}
+        return replace(other, profile=MappingProxyType(profile), **summed)
+
+    def seconds_for(self, tiles: int) -> float:
+        """The batch wall-clock apportioned to ``tiles`` of its planned
+        tiles — by tile count, not measured per workload."""
+        return self.elapsed * tiles / self.planned_tiles if self.planned_tiles else 0.0
+
+    def workload_runs(self, workloads, per_workload) -> list[WorkloadRun]:
+        """One :class:`WorkloadRun` per workload/records pair, with
+        apportioned :meth:`seconds_for`."""
+        return [
+            WorkloadRun(
+                name=workload.name,
+                kind=workload.kind,
+                tiles=len(records),
+                records=records,
+                stats=stats_from_records(records),
+                seconds=self.seconds_for(len(records)),
+            )
+            for workload, records in zip(workloads, per_workload)
+        ]
+
+
+#: Account fields that sum across batches (the rest are states).
+_SUMMED = (
+    "elapsed",
+    "planned_tiles",
+    "unique_tiles",
+    "cache_hits",
+    "cache_misses",
+    "store_hits",
+    "store_misses",
+    "store_corrupt",
+    "store_evictions",
+    "pool_rebuilds",
+    "retries",
+)
+
+#: Account fields an :class:`EngineReport` carries under the same name.
+_REPORTED = tuple(
+    f.name for f in fields(BatchAccount) if f.name not in ("elapsed", "profile")
+)
+
+
 @dataclass
 class EngineReport:
     """Aggregate result of one batched engine run over a trace.
@@ -224,10 +302,14 @@ class EngineReport:
     kernels / worker dispatch), ``record`` (residual popcounts, depths,
     record assembly), and ``scatter`` (per-workload scatter-back); the
     ``compiled`` backend adds ``warmup`` (one-time JIT compilation /
-    cache load, paid once per process). Stage times are nested inside
-    the run's wall-clock, so they always sum to at most
-    :attr:`total_seconds`. ``workers`` echoes the process count for
-    sharded runs; ``planned_tiles``/``unique_tiles`` describe the
+    cache load, paid by the first dispatch in the process). Stage times
+    nest inside the batch's own wall-clock, which is measured under the
+    planner lock and excludes lock wait. :attr:`total_seconds` is that
+    wall-clock apportioned to this report's workloads, so stage times
+    sum to at most it — except in a coalesced scheduler batch, where
+    every job's report carries the whole batch's profile but only its
+    own share of the wall-clock. ``workers`` echoes the process count
+    for sharded runs; ``planned_tiles``/``unique_tiles`` describe the
     cross-workload dedup. ``plan`` is ``"trace"`` for engine and
     scheduler runs and ``"stream"`` for streamed ones.
     """
@@ -342,7 +424,7 @@ class ProsperityEngine:
         the in-memory cache: record misses consult it before the kernel
         path and computed records publish to it durably. The engine
         never owns the store (sessions/schedulers share one across
-        engines and close it); per-run traffic deltas land in the
+        engines and close it); per-batch traffic deltas land in the
         ``store_*`` report fields. A store with ``cache_size == 0``
         still works — a minimal one-entry memory tier fronts it.
     """
@@ -394,6 +476,92 @@ class ProsperityEngine:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    # ------------------------------------------------------------------
+    def execute_batch(
+        self,
+        sources: list,
+        on_workload=None,
+        tile_m: int | None = None,
+        tile_k: int | None = None,
+    ) -> tuple[list[np.ndarray], BatchAccount]:
+        """Plan and execute one batch; the only place a batch is accounted.
+
+        ``sources`` are planner sources (one :class:`SpikeMatrix` or
+        sampled tile list per workload) and ``on_workload`` is passed to
+        :meth:`~repro.engine.planner.TracePlanner.execute`. The planner
+        is held exclusively for the whole batch, and the cache, store
+        and supervision snapshots are taken inside that hold, so the
+        returned :class:`BatchAccount` holds this batch's deltas only.
+        Returns the per-workload records and the account.
+        """
+        tile_m = self.tile_m if tile_m is None else tile_m
+        tile_k = self.tile_k if tile_k is None else tile_k
+        backend, cache, store = self.backend, self.cache, self.store
+
+        def counters() -> dict:
+            # Cache, store and supervision counters are lifetime totals;
+            # the account carries their deltas over this batch.
+            totals = dict(backend.failure_counters())
+            if cache is not None:
+                totals.update(cache_hits=cache.hits, cache_misses=cache.misses)
+            if store is not None:
+                totals.update(store.counters())
+            return totals
+
+        profile = {
+            stage: 0.0 for stage in (*PLANNED_PROFILE_STAGES, *backend.profile_stages)
+        }
+        with self.planner.exclusive():
+            before = counters()
+            start = time.perf_counter()
+            plan = self.planner.plan(sources, tile_m, tile_k, profile=profile)
+            per_workload = self.planner.execute(
+                plan, backend, cache=cache, profile=profile, on_workload=on_workload
+            )
+            elapsed = time.perf_counter() - start
+            after = counters()
+        if store is not None:
+            # Publish this batch's new entries in the background now
+            # that the kernels are done (puts buffer during the batch to
+            # keep writer IO off the compute path).
+            store.kick()
+        account = BatchAccount(
+            elapsed=elapsed,
+            profile=MappingProxyType(profile),
+            planned_tiles=plan.total_tiles,
+            unique_tiles=plan.unique_tiles,
+            store_active=store.enabled if store is not None else None,
+            degraded=after.get("degraded"),
+            # Read after the batch: a failed first JIT dispatch degrades
+            # the compiled backend to its fallback mid-batch.
+            jit_active=getattr(backend, "jit_active", None),
+            **{name: after[name] - before[name] for name in _SUMMED if name in after},
+        )
+        return per_workload, account
+
+    def build_report(
+        self,
+        account: BatchAccount,
+        runs: list[WorkloadRun],
+        model: str = "",
+        dataset: str = "",
+        plan: str | None = None,
+    ) -> EngineReport:
+        """The :class:`EngineReport` of ``runs`` under ``account`` — the
+        one report constructor for engine, scheduler and stream runs."""
+        return EngineReport(
+            backend=self.backend.name,
+            tile_m=self.tile_m,
+            tile_k=self.tile_k,
+            model=model,
+            dataset=dataset,
+            runs=list(runs),
+            workers=getattr(self.backend, "workers", None),
+            profile=dict(account.profile),
+            plan=plan or self.plan,
+            **{name: getattr(account, name) for name in _REPORTED},
+        )
 
     # ------------------------------------------------------------------
     def _forest_for(self, tile: SpikeTile) -> ProSparsityForest:
@@ -454,15 +622,12 @@ class ProsperityEngine:
             )
         else:
             # Sampled tiles and whole matrices land in the same shape
-            # buckets, so sampling composes with the dedup. exclusive()
-            # keeps the plan's arena views valid against concurrent
-            # planner users (the serving scheduler).
+            # buckets, so sampling composes with the dedup.
             source = tiles if sampled else matrix
-            with self.planner.exclusive():
-                trace_plan = self.planner.plan([source], tile_m, tile_k)
-                record_array = self.planner.execute(
-                    trace_plan, self.backend, cache=self.cache
-                )[0]
+            per_workload, _ = self.execute_batch(
+                [source], tile_m=tile_m, tile_k=tile_k
+            )
+            record_array = per_workload[0]
         result.tile_records = record_array
         result.stats = stats_from_records(record_array, sample_fraction=fraction)
         return result
@@ -517,11 +682,7 @@ class ProsperityEngine:
             else:
                 sources.append(matrix)
                 fractions.append(1.0)
-        with self.planner.exclusive():
-            trace_plan = self.planner.plan(sources, tile_m, tile_k)
-            per_workload = self.planner.execute(
-                trace_plan, self.backend, self.cache
-            )
+        per_workload, _ = self.execute_batch(sources, tile_m=tile_m, tile_k=tile_k)
         results = []
         for records, fraction in zip(per_workload, fractions):
             result = ProSparsityResult()
@@ -544,95 +705,15 @@ class ProsperityEngine:
         else:
             workloads = list(trace)
             model = dataset = ""
-        report = EngineReport(
-            backend=self.backend.name,
-            tile_m=self.tile_m,
-            tile_k=self.tile_k,
+        per_workload, account = self.execute_batch(
+            [workload.spikes for workload in workloads]
+        )
+        return self.build_report(
+            account,
+            account.workload_runs(workloads, per_workload),
             model=model,
             dataset=dataset,
-            workers=getattr(self.backend, "workers", None),
-            plan=self.plan,
         )
-        hits0 = self.cache.hits if self.cache else 0
-        misses0 = self.cache.misses if self.cache else 0
-        store0 = self.store.counters() if self.store is not None else {}
-        profile0 = dict(getattr(self.backend, "profile", None) or {})
-        counters0 = self.backend.failure_counters()
-        profile = {stage: 0.0 for stage in PLANNED_PROFILE_STAGES}
-        start = time.perf_counter()
-        with self.planner.exclusive():
-            trace_plan = self.planner.plan(
-                [workload.spikes for workload in workloads],
-                self.tile_m,
-                self.tile_k,
-                profile=profile,
-            )
-            per_workload = self.planner.execute(
-                trace_plan, self.backend, cache=self.cache, profile=profile
-            )
-        # Per-workload stats are report assembly, not a pipeline stage:
-        # they stay inside the timed window (so stage sums remain
-        # bounded by wall-clock) but out of the profile breakdown.
-        entries = [
-            (workload, records, stats_from_records(records))
-            for workload, records in zip(workloads, per_workload)
-        ]
-        elapsed = time.perf_counter() - start
-        total = trace_plan.total_tiles
-        for workload, records, stats in entries:
-            report.runs.append(
-                WorkloadRun(
-                    name=workload.name,
-                    kind=workload.kind,
-                    tiles=len(records),
-                    records=records,
-                    stats=stats,
-                    seconds=elapsed * (len(records) / total) if total else 0.0,
-                )
-            )
-        report.planned_tiles = trace_plan.total_tiles
-        report.unique_tiles = trace_plan.unique_tiles
-        backend_profile = getattr(self.backend, "profile", None)
-        if backend_profile:
-            # Kernel stages (select/record) accumulate inside the
-            # backend; fold in the delta since the run started.
-            for stage, seconds in backend_profile.items():
-                profile[stage] = (
-                    profile.get(stage, 0.0) + seconds - profile0.get(stage, 0.0)
-                )
-        report.profile = profile
-        if self.cache:
-            report.cache_hits = self.cache.hits - hits0
-            report.cache_misses = self.cache.misses - misses0
-        if self.store is not None:
-            # Store counters are process-lifetime totals; the report
-            # carries this run's deltas, same as the cache tier above.
-            store1 = self.store.counters()
-            report.store_hits = store1["store_hits"] - store0["store_hits"]
-            report.store_misses = store1["store_misses"] - store0["store_misses"]
-            report.store_corrupt = store1["store_corrupt"] - store0["store_corrupt"]
-            report.store_evictions = (
-                store1["store_evictions"] - store0["store_evictions"]
-            )
-            report.store_active = self.store.enabled
-            # Publish this run's new entries in the background now that
-            # the kernels are done (puts buffer during the run to keep
-            # writer IO off the compute path).
-            self.store.kick()
-        # Read after the run: a failed first JIT dispatch degrades the
-        # compiled backend to its fallback mid-run, and the report should
-        # describe what actually executed.
-        report.jit_active = getattr(self.backend, "jit_active", None)
-        # Supervision counters are backend-lifetime totals; the report
-        # carries this run's deltas (degraded is a state, not a delta).
-        counters1 = self.backend.failure_counters()
-        if counters1:
-            report.pool_rebuilds = counters1.get("pool_rebuilds", 0) - counters0.get(
-                "pool_rebuilds", 0
-            )
-            report.retries = counters1.get("retries", 0) - counters0.get("retries", 0)
-            report.degraded = counters1.get("degraded")
-        return report
 
     # ------------------------------------------------------------------
     def execute_gemm(

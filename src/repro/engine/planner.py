@@ -45,11 +45,12 @@ count: the batched kernels compute each tile's record independently of
 its stack neighbours (pinned by the sharded worker-count equivalence
 tests), so bucket composition cannot change results.
 
-Per-stage wall-clock accumulates under ``pack`` (per-workload bit
-packing), ``plan`` (bucket merge / arena fill), ``dedup`` (global
-content dedup + cache traffic), and ``scatter`` (writing records back
-in workload order); the kernel's own ``select``/``record`` stages keep
-their existing meaning.
+Per-stage wall-clock accumulates in the profile dict the caller passes
+to :meth:`TracePlanner.plan` / :meth:`TracePlanner.execute`: ``pack``
+(per-workload bit packing), ``plan`` (bucket merge / arena fill),
+``dedup`` (global content dedup + cache traffic), and ``scatter``
+(writing records back in workload order). The same dict goes into the
+backend kernel, which books its own ``select``/``record`` stages.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ import numpy as np
 from repro.core.prosparsity import TILE_RECORD_FIELDS
 from repro.core.spike_matrix import SpikeMatrix, SpikeTile
 from repro.engine.fused import (
+    add_stage,
     build_tile_parts,
     cached_unique_records,
     dedup_tiles,
@@ -105,11 +107,6 @@ def validate_plan_mode(plan: str) -> str:
     if plan not in PLAN_MODES:
         raise ValueError(f"unknown plan mode {plan!r}; expected one of {PLAN_MODES}")
     return plan
-
-
-def _add_stage(profile: dict[str, float] | None, stage: str, seconds: float) -> None:
-    if profile is not None:
-        profile[stage] = profile.get(stage, 0.0) + seconds
 
 
 class BufferArena:
@@ -301,7 +298,7 @@ class TracePlanner:
                 self._pack_tiles(source, owner, parts)
             tiles_per_workload.append(total)
             pack_seconds += time.perf_counter() - start
-        _add_stage(profile, "pack", pack_seconds)
+        add_stage(profile, "pack", pack_seconds)
 
         start = time.perf_counter()
         buckets = []
@@ -331,12 +328,12 @@ class TracePlanner:
             buckets.append(
                 PlanBucket(m, k, nbytes, codes, popcounts, raw, owner, position)
             )
-        _add_stage(profile, "plan", time.perf_counter() - start)
+        add_stage(profile, "plan", time.perf_counter() - start)
 
         start = time.perf_counter()
         for bucket in buckets:
             bucket.first, bucket.inverse = dedup_tiles(bucket.raw)
-        _add_stage(profile, "dedup", time.perf_counter() - start)
+        add_stage(profile, "dedup", time.perf_counter() - start)
 
         plan = TracePlan(buckets, tiles_per_workload)
         if plan.total_tiles != sum(bucket.tiles for bucket in buckets):
@@ -428,7 +425,7 @@ class TracePlanner:
             start = time.perf_counter()
             records[plan.offsets[bucket.owner] + bucket.position] = bucket_records
             assigned += len(bucket_records)
-            _add_stage(profile, "scatter", time.perf_counter() - start)
+            add_stage(profile, "scatter", time.perf_counter() - start)
             if on_workload is not None:
                 counts = np.bincount(bucket.owner, minlength=len(remaining))
                 remaining -= counts
@@ -459,9 +456,12 @@ class TracePlanner:
         """
         kernel = getattr(backend, "_compute_records", None)
         if kernel is not None:
-            # Fused-family backends time select/record themselves.
+            # Fused-family kernels time select/record into the run's
+            # profile themselves.
             def compute(rows: np.ndarray) -> np.ndarray:
-                return kernel(bucket.codes[rows], bucket.popcounts[rows], bucket.k)
+                return kernel(
+                    bucket.codes[rows], bucket.popcounts[rows], bucket.k, profile
+                )
         else:
             def compute(rows: np.ndarray) -> np.ndarray:
                 start = time.perf_counter()
@@ -472,7 +472,7 @@ class TracePlanner:
                     ],
                     dtype=np.int64,
                 ).reshape(len(rows), _NFIELDS)
-                _add_stage(profile, "record", time.perf_counter() - start)
+                add_stage(profile, "record", time.perf_counter() - start)
                 return computed
 
         return cached_unique_records(
@@ -483,7 +483,7 @@ class TracePlanner:
             bucket.inverse,
             compute,
             cache,
-            lambda seconds: _add_stage(profile, "dedup", seconds),
+            lambda seconds: add_stage(profile, "dedup", seconds),
         )
 
     @staticmethod

@@ -604,8 +604,9 @@ class ResultStore:
 
     # -- observability / maintenance ------------------------------------
     def counters(self) -> dict[str, int]:
-        """Monotonic per-process counters (engines snapshot-and-diff
-        these into ``EngineReport.store_*`` per run)."""
+        """Monotonic per-process counters (``ProsperityEngine.
+        execute_batch`` snapshot-and-diffs these into each batch's
+        ``store_*`` deltas)."""
         with self._mutex:
             return {
                 "store_hits": self._hits,

@@ -24,12 +24,13 @@ whole trace. The identity argument has three legs:
 A producer thread steps the source and feeds assembled tiles through a
 bounded queue — ``max_inflight_windows`` is real backpressure, the
 producer blocks once the consumer falls behind. Window execution runs
-on the consuming thread through the engine's shared planner (under
-``exclusive()``) with the engine's cache, so cross-window and
-cross-stream dedup ride the same content-digest tiers (memory
-:class:`~repro.engine.pipeline.ForestCache`, then the persistent
-:class:`~repro.engine.store.ResultStore`) as batch runs. A stalled
-source (see the ``stream_stall`` fault kind) surfaces as
+on the consuming thread through the engine's one batch seat
+(:meth:`~repro.engine.pipeline.ProsperityEngine.execute_batch`, under
+the planner's ``exclusive()``) with the engine's cache, so
+cross-window and cross-stream dedup ride the same content-digest tiers
+(memory :class:`~repro.engine.pipeline.ForestCache`, then the
+persistent :class:`~repro.engine.store.ResultStore`) as batch runs. A
+stalled source (see the ``stream_stall`` fault kind) surfaces as
 :class:`StreamStalledError` after ``stall_timeout_s``.
 """
 
@@ -45,11 +46,7 @@ import numpy as np
 from repro.core.prosparsity import TILE_RECORD_FIELDS
 from repro.core.spike_matrix import SpikeTile, TileCoord
 from repro.engine.faults import stream_fault
-from repro.engine.pipeline import (
-    EngineReport,
-    WorkloadRun,
-    stats_from_records,
-)
+from repro.engine import BatchAccount, EngineReport, WorkloadRun
 from repro.streaming.source import StreamSource
 
 __all__ = [
@@ -317,25 +314,12 @@ class StreamRunner:
         """
         engine = self.engine
         source = self.source
-        report = EngineReport(
-            backend=engine.backend.name,
-            tile_m=engine.tile_m,
-            tile_k=engine.tile_k,
-            model=source.name,
-            dataset="stream",
-            workers=getattr(engine.backend, "workers", None),
-            plan="stream",
-            jit_active=getattr(engine.backend, "jit_active", None),
-        )
-        hits0 = engine.cache.hits if engine.cache else 0
-        misses0 = engine.cache.misses if engine.cache else 0
-        store0 = engine.store.counters() if engine.store is not None else {}
-        backend_profile0 = dict(getattr(engine.backend, "profile", None) or {})
-        profile: dict[str, float] = {}
+        # The stream's account is the sum of its windows' accounts, so
+        # batch runs interleaved on the same engine never leak into it.
+        account = BatchAccount()
         # One records list per workload, concatenated into the final
         # report — across chunks they reproduce the batch record arrays.
         records: list[list[np.ndarray]] = [[] for _ in source.workloads]
-        seconds = [0.0 for _ in source.workloads]
         windows = 0
         stop_step = 0
 
@@ -360,9 +344,8 @@ class StreamRunner:
                     if kind == "error":
                         raise payload
                     break  # ("done", None)
-                chunk = self._execute_window(
-                    item, report, records, seconds, profile
-                )
+                chunk, window_account = self._execute_window(item, records)
+                account += window_account
                 windows += 1
                 stop_step = item.stop_step
                 yield chunk
@@ -376,105 +359,39 @@ class StreamRunner:
                     break
             producer.join(timeout=5.0)
 
-        for workload, chunks_records, spent in zip(
-            source.workloads, records, seconds
-        ):
-            merged = (
-                np.concatenate(chunks_records)
-                if chunks_records
-                else np.empty((0, _NFIELDS), dtype=np.int64)
-            )
-            report.runs.append(
-                WorkloadRun(
-                    name=workload.name,
-                    kind=workload.kind,
-                    tiles=len(merged),
-                    records=merged,
-                    stats=stats_from_records(merged),
-                    seconds=spent,
-                )
-            )
-        if engine.cache:
-            report.cache_hits = engine.cache.hits - hits0
-            report.cache_misses = engine.cache.misses - misses0
-        if engine.store is not None:
-            store1 = engine.store.counters()
-            report.store_hits = store1["store_hits"] - store0["store_hits"]
-            report.store_misses = store1["store_misses"] - store0["store_misses"]
-            report.store_corrupt = store1["store_corrupt"] - store0["store_corrupt"]
-            report.store_evictions = (
-                store1["store_evictions"] - store0["store_evictions"]
-            )
-            report.store_active = engine.store.enabled
-        backend_profile = getattr(engine.backend, "profile", None)
-        if backend_profile:
-            for stage, stage_seconds in backend_profile.items():
-                profile[stage] = (
-                    profile.get(stage, 0.0)
-                    + stage_seconds
-                    - backend_profile0.get(stage, 0.0)
-                )
-        report.profile = profile
-        report.jit_active = getattr(engine.backend, "jit_active", None)
+        merged = [
+            np.concatenate(parts) if parts else np.empty((0, _NFIELDS), np.int64)
+            for parts in records
+        ]
+        report = engine.build_report(
+            account,
+            account.workload_runs(source.workloads, merged),
+            model=source.name,
+            dataset="stream",
+            plan="stream",
+        )
         return StreamResult(report=report, windows=windows, steps=source.steps)
 
     def _execute_window(
-        self,
-        window: _Window,
-        report: EngineReport,
-        records: list[list[np.ndarray]],
-        seconds: list[float],
-        profile: dict[str, float],
-    ) -> StreamChunk:
+        self, window: _Window, records: list[list[np.ndarray]]
+    ) -> tuple[StreamChunk, BatchAccount]:
         """Plan + execute one window's completed tiles on this thread."""
-        engine = self.engine
-        hits0 = engine.cache.hits if engine.cache else 0
-        misses0 = engine.cache.misses if engine.cache else 0
-        start = time.perf_counter()
-        with engine.planner.exclusive():
-            plan = engine.planner.plan(
-                window.tiles, engine.tile_m, engine.tile_k, profile=profile
-            )
-            per_workload = engine.planner.execute(
-                plan, engine.backend, cache=engine.cache, profile=profile
-            )
-        elapsed = time.perf_counter() - start
-        if engine.store is not None:
-            # Same IO discipline as batch runs: publish new durable
-            # entries off the compute path, once per window.
-            engine.store.kick()
-
-        total = plan.total_tiles
-        runs: list[WorkloadRun] = []
-        for owner, (workload, window_records) in enumerate(
-            zip(self.source.workloads, per_workload)
-        ):
-            if not len(window_records):
-                continue
-            share = elapsed * (len(window_records) / total) if total else 0.0
-            records[owner].append(window_records)
-            seconds[owner] += share
-            runs.append(
-                WorkloadRun(
-                    name=workload.name,
-                    kind=workload.kind,
-                    tiles=len(window_records),
-                    records=window_records,
-                    stats=stats_from_records(window_records),
-                    seconds=share,
-                )
-            )
-        report.planned_tiles += plan.total_tiles
-        report.unique_tiles += plan.unique_tiles
-        return StreamChunk(
+        per_workload, account = self.engine.execute_batch(window.tiles)
+        runs = account.workload_runs(self.source.workloads, per_workload)
+        runs = [run for run in runs if run.tiles]
+        for owner, window_records in enumerate(per_workload):
+            if len(window_records):
+                records[owner].append(window_records)
+        chunk = StreamChunk(
             index=window.index,
             start_step=window.start_step,
             stop_step=window.stop_step,
-            seconds=elapsed,
+            seconds=account.elapsed,
             runs=runs,
-            planned_tiles=plan.total_tiles,
-            unique_tiles=plan.unique_tiles,
-            cache_hits=(engine.cache.hits - hits0) if engine.cache else 0,
-            cache_misses=(engine.cache.misses - misses0) if engine.cache else 0,
+            planned_tiles=account.planned_tiles,
+            unique_tiles=account.unique_tiles,
+            cache_hits=account.cache_hits,
+            cache_misses=account.cache_misses,
             final=window.final,
         )
+        return chunk, account

@@ -190,24 +190,28 @@ class TestWarmup:
 
     def test_warmup_runs_once(self):
         backend = CompiledBackend()
-        backend.warmup()
-        booked = backend.profile["warmup"]
+        profile: dict[str, float] = {}
+        backend.warmup(profile)
+        booked = profile.get("warmup", 0.0)
         if EXPECT_JIT:
             assert backend._warmed is True
             assert booked > 0.0
         else:
             assert booked == 0.0
-        backend.warmup()
-        assert backend.profile["warmup"] == booked  # idempotent
+        backend.warmup(profile)
+        assert profile.get("warmup", 0.0) == booked  # idempotent
 
     def test_dispatch_auto_warms(self, rng):
-        """First _compute_records pays warmup without an explicit call."""
+        """First _compute_records pays warmup without an explicit call,
+        booked into the profile of the batch that dispatched it."""
         backend = CompiledBackend()
         matrix = random_spike_matrix(128, 16, 0.3, rng)
-        _records(backend, matrix)
+        engine = ProsperityEngine(backend=backend, tile_m=64, tile_k=16)
+        _, account = engine.execute_batch([matrix])
+        assert "warmup" in account.profile
         if EXPECT_JIT:
             assert backend._warmed is True
-            assert backend.profile["warmup"] > 0.0
+            assert account.profile["warmup"] > 0.0
 
     def test_no_jit_env_forces_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_JIT", "1")

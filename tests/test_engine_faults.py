@@ -318,3 +318,37 @@ class TestPoolSupervision:
 
     def test_failure_counters_base_is_empty(self):
         assert ReferenceBackend().failure_counters() == {}
+
+
+class TestStreamSupervision:
+    def test_stream_report_shows_pool_rebuild(self):
+        """A replay stream on ``sharded`` reports the rebuild its window
+        paid for, like a batch run does."""
+        from repro.api import RunConfig, Session
+
+        config = RunConfig().with_overrides(
+            {
+                "workload.model": "lenet5",
+                "workload.dataset": "mnist",
+                "engine.backend": "sharded",
+                "engine.workers": 2,
+                "streaming.source": "replay",
+                "resilience.faults": "worker_crash",
+            }
+        )
+        with Session(config) as session:
+            stream = session.stream_source()
+            chunks = []
+            while True:
+                try:
+                    chunks.append(next(stream))
+                except StopIteration as stop:
+                    report = stop.value.report
+                    break
+            counters = session.engine.backend.failure_counters()
+        assert counters == {"pool_rebuilds": 1, "retries": 1, "degraded": False}
+        assert (report.pool_rebuilds, report.retries, report.degraded) == (
+            1,
+            1,
+            False,
+        )

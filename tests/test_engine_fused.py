@@ -225,7 +225,7 @@ class TestFusedCacheAndProfile:
         expected = []
         for tile in matrix.tile(32, 16):
             record = forest_record(build_forest(tile))
-            cache.put_record(tile.m, tile.k, tile.packed, record)
+            cache.put_record_by_key(cache.key(tile.m, tile.k, tile.packed), record)
             expected.append(record)
         engine = ProsperityEngine(backend="fused", tile_m=32, tile_k=16)
         engine.cache = cache
@@ -234,14 +234,20 @@ class TestFusedCacheAndProfile:
         assert cache.misses == 0  # every unique tile was a hit
 
     def test_profile_accumulates_stages(self, rng):
+        """Kernel stages book into the profile passed in, per batch."""
         backend = FusedBackend()
-        assert set(backend.profile) == set(PROFILE_STAGES)
+        assert not hasattr(backend, "profile")
+        tiles = [SpikeTile(rng.random((64, 16)) < 0.3) for _ in range(4)]
+        codes = np.stack([padded_codes(t.packed) for t in tiles])
+        pops = np.stack([popcount_rows(t.packed) for t in tiles])
+        profile: dict[str, float] = {}
+        backend._compute_records(codes, pops, 16, profile)
+        assert set(profile) == set(PROFILE_STAGES)
         matrix = random_spike_matrix(256, 64, 0.2, rng, 0.3)
-        ProsperityEngine(backend=backend, tile_m=64, tile_k=16).transform_matrix(
-            matrix
-        )
-        assert backend.profile["select"] > 0
-        assert backend.profile["record"] > 0
+        engine = ProsperityEngine(backend=backend, tile_m=64, tile_k=16)
+        _, account = engine.execute_batch([matrix])
+        assert account.profile["select"] > 0
+        assert account.profile["record"] > 0
 
     def test_engine_report_profile(self, rng):
         engine = ProsperityEngine(backend="fused", tile_m=64, tile_k=16)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,11 @@ from repro.engine import (
 from repro.snn.trace import GeMMWorkload
 
 
+def _key(tile):
+    """The cache's content key for ``tile``."""
+    return ForestCache.key(tile.m, tile.k, tile.packed)
+
+
 def _workload(name, bits, n=8, kind="linear"):
     return GeMMWorkload(name=name, spikes=SpikeMatrix(bits), n=n, kind=kind)
 
@@ -23,9 +32,9 @@ class TestForestCache:
     def test_record_round_trip(self, rng):
         cache = ForestCache(capacity=4)
         tile = SpikeTile(rng.random((16, 8)) < 0.5)
-        assert cache.get_record(tile.m, tile.k, tile.packed) is None
-        cache.put_record(tile.m, tile.k, tile.packed, (1, 2, 3))
-        assert cache.get_record(tile.m, tile.k, tile.packed) == (1, 2, 3)
+        assert cache.get_record_by_key(_key(tile)) is None
+        cache.put_record_by_key(_key(tile), (1, 2, 3))
+        assert cache.get_record_by_key(_key(tile)) == (1, 2, 3)
         assert cache.hits == 1 and cache.misses == 1
 
     def test_content_addressing_ignores_coordinates(self, rng):
@@ -36,18 +45,18 @@ class TestForestCache:
         from repro.core.spike_matrix import TileCoord
 
         second = SpikeTile(bits, TileCoord(640, 32))
-        cache.put_record(first.m, first.k, first.packed, (7,))
-        assert cache.get_record(second.m, second.k, second.packed) == (7,)
+        cache.put_record_by_key(_key(first), (7,))
+        assert cache.get_record_by_key(_key(second)) == (7,)
 
     def test_lru_eviction(self, rng):
         cache = ForestCache(capacity=2)
         tiles = [SpikeTile(rng.random((8, 8)) < 0.5) for _ in range(3)]
         for i, tile in enumerate(tiles):
-            cache.put_record(tile.m, tile.k, tile.packed, (i,))
+            cache.put_record_by_key(_key(tile), (i,))
         assert len(cache) == 2
         # Oldest entry evicted, newest two retained.
-        assert cache.get_record(tiles[0].m, tiles[0].k, tiles[0].packed) is None
-        assert cache.get_record(tiles[2].m, tiles[2].k, tiles[2].packed) == (2,)
+        assert cache.get_record_by_key(_key(tiles[0])) is None
+        assert cache.get_record_by_key(_key(tiles[2])) == (2,)
 
     def test_forest_rebinds_to_new_tile(self, rng):
         engine = ProsperityEngine(backend="fused", tile_m=16, tile_k=8)
@@ -71,18 +80,18 @@ class TestForestCache:
         cache = ForestCache(capacity=3)
         tiles = [SpikeTile(rng.random((8, 8)) < 0.5) for _ in range(10)]
         for i, tile in enumerate(tiles):
-            cache.put_record(tile.m, tile.k, tile.packed, (i,))
+            cache.put_record_by_key(_key(tile), (i,))
             assert len(cache) <= 3
         # Only the newest three contents survive, in insertion order.
         for i, tile in enumerate(tiles):
-            record = cache.get_record(tile.m, tile.k, tile.packed)
+            record = cache.get_record_by_key(_key(tile))
             assert record == ((i,) if i >= 7 else None), i
         # A get refreshes recency: 7 survives the next two fills, 8 dies.
-        cache.get_record(tiles[7].m, tiles[7].k, tiles[7].packed)
+        cache.get_record_by_key(_key(tiles[7]))
         for i in (0, 1):
-            cache.put_record(tiles[i].m, tiles[i].k, tiles[i].packed, (100 + i,))
-        assert cache.get_record(tiles[7].m, tiles[7].k, tiles[7].packed) == (7,)
-        assert cache.get_record(tiles[8].m, tiles[8].k, tiles[8].packed) is None
+            cache.put_record_by_key(_key(tiles[i]), (100 + i,))
+        assert cache.get_record_by_key(_key(tiles[7])) == (7,)
+        assert cache.get_record_by_key(_key(tiles[8])) is None
 
     def test_eviction_drops_both_slots(self, rng):
         """Evicting an entry loses its record and its forest together."""
@@ -91,9 +100,9 @@ class TestForestCache:
         tile_a = SpikeTile(rng.random((8, 8)) < 0.5)
         tile_b = SpikeTile(rng.random((8, 8)) < 0.5)
         engine._forest_for(tile_a)
-        engine.cache.put_record(tile_a.m, tile_a.k, tile_a.packed, (1,))
+        engine.cache.put_record_by_key(_key(tile_a), (1,))
         engine._forest_for(tile_b)  # evicts tile_a's entry entirely
-        assert engine.cache.get_record(tile_a.m, tile_a.k, tile_a.packed) is None
+        assert engine.cache.get_record_by_key(_key(tile_a)) is None
         assert engine.cache.get_forest(tile_a) is None
 
     def test_dual_slot_fill_shares_one_entry(self, rng):
@@ -105,7 +114,7 @@ class TestForestCache:
         forest = engine.backend.forest(tile)
 
         # Fill the record slot first: the forest slot still misses.
-        cache.put_record(tile.m, tile.k, tile.packed, (1, 2))
+        cache.put_record_by_key(_key(tile), (1, 2))
         assert len(cache) == 1
         assert cache.get_forest(tile) is None
         assert (cache.hits, cache.misses) == (0, 1)
@@ -113,18 +122,19 @@ class TestForestCache:
         # Fill the forest slot from the other path: same entry, no growth.
         cache.put_forest(tile, forest)
         assert len(cache) == 1
-        assert cache.get_record(tile.m, tile.k, tile.packed) == (1, 2)
+        assert cache.get_record_by_key(_key(tile)) == (1, 2)
         assert cache.get_forest(tile) is not None
         assert (cache.hits, cache.misses) == (2, 1)
 
     def test_key_based_access_matches_packed_access(self, rng):
-        """get/put_record_by_key are aliases for the packed-array API."""
+        """Keys hashed independently from equal packed bytes address
+        one entry."""
         cache = ForestCache(capacity=4)
         tile = SpikeTile(rng.random((16, 8)) < 0.4)
         key = cache.key(tile.m, tile.k, tile.packed)
         assert cache.get_record_by_key(key) is None
         cache.put_record_by_key(key, (9, 9))
-        assert cache.get_record(tile.m, tile.k, tile.packed) == (9, 9)
+        assert cache.get_record_by_key(_key(SpikeTile(tile.bits.copy()))) == (9, 9)
         assert (cache.hits, cache.misses) == (1, 1)
 
 
@@ -236,6 +246,48 @@ class TestBatchedRun:
         assert (engine.cache.hits, engine.cache.misses) == (0, 1)
         engine.run([_workload("t", repeated)])
         assert (engine.cache.hits, engine.cache.misses) == (1, 1)
+
+
+class TestSharedEngineAccounting:
+    def test_concurrent_runs_do_not_double_count(self, rng, monkeypatch):
+        """Threads running on one engine: their reports' cache traffic
+        sums to the engine's own totals. Every run is held at the
+        planner's door until all arrive, so all but one always wait on
+        the lock while another executes."""
+        engine = ProsperityEngine(backend="fused", tile_m=64, tile_k=16)
+        trace = [_workload("w", rng.random((512, 32)) < 0.3)]
+        planner = engine.planner
+        exclusive = planner.exclusive
+        runs = 4  # more threads than cores
+        door = threading.Barrier(runs)
+
+        @contextlib.contextmanager
+        def gated():
+            door.wait(timeout=30)
+            with exclusive():
+                yield planner
+
+        monkeypatch.setattr(planner, "exclusive", gated)
+        reports = []
+
+        def work():
+            reports.append(engine.run(trace))
+
+        threads = [threading.Thread(target=work) for _ in range(runs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(reports) == runs
+        assert sum(r.cache_hits for r in reports) == engine.cache.hits
+        assert sum(r.cache_misses for r in reports) == engine.cache.misses
+        assert sum(r.cache_hits + r.cache_misses for r in reports) > 0
 
 
 class TestSimulatorIntegration:

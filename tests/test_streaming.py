@@ -223,6 +223,24 @@ class TestRecurrentSource:
         assert_stream_matches_batch(chunks, result, reference)
 
 
+class TestInterleavedAccounting:
+    def test_stream_report_is_the_sum_of_its_chunks(self):
+        """A batch run interleaved with a stream on the same engine is
+        never booked into the stream's report."""
+        config = stream_config(**{"streaming.window": 2})
+        with Session(config) as session:
+            stream = session.stream_source()
+            first = next(stream)
+            batch = session.run().report
+            rest, result = exhaust(stream)
+        chunks = [first, *rest]
+        assert batch.cache_hits + batch.cache_misses > 0
+        for name in ("cache_hits", "cache_misses", "planned_tiles", "unique_tiles"):
+            assert getattr(result.report, name) == sum(
+                getattr(chunk, name) for chunk in chunks
+            ), name
+
+
 class TestSchedulerPaths:
     def test_session_submit_stream_kind(self):
         config = stream_config(**{"streaming.window": 2})

@@ -1,16 +1,12 @@
-"""Engine throughput: reference vs fused vs sharded vs compiled, and the
-trace planner against one plan per workload.
+"""Engine throughput: reference vs fused vs sharded, and the trace
+planner against one plan per workload.
 
 This is the perf gate for the engine subsystem. Every run re-checks that
 the bulk backends' tile records are bit-identical to the reference
 oracle on each tier-1 workload, measures tiles/sec per backend, and
 asserts the contract speedups: on VGG-16 the fused backend >=
-``MIN_VGG16_SPEEDUP x MIN_FUSED_SPEEDUP`` (9x) over the reference path,
-and the Numba-``compiled`` backend >= 3x over fused — the latter only
-where the JIT is actually active (numba installed, ``REPRO_NO_JIT``
-unset); in fallback environments the compiled row is measured and
-recorded as ``compiled[fallback]`` but the native contract cannot be
-asserted. On a multi-timestep trace the trace planner's one
+``MIN_VGG16_SPEEDUP x MIN_FUSED_SPEEDUP`` (9x) over the reference path.
+On a multi-timestep trace the trace planner's one
 cross-workload plan >= 1.5x over one plan per workload. A sharded
 smoke (workers=2) checks multiprocess bit-identity on every run.
 
@@ -44,7 +40,7 @@ from benchmarks.conftest import save_result
 from repro.analysis.report import format_ratio, format_table
 from repro.core.prosparsity import transform_matrix
 from repro.core.spike_matrix import SpikeMatrix
-from repro.engine import CompiledBackend, ProsperityEngine, ShardedBackend
+from repro.engine import ProsperityEngine, ShardedBackend
 from repro.snn.trace import GeMMWorkload, ModelTrace
 from repro.workloads import get_trace
 
@@ -64,11 +60,6 @@ MIN_FUSED_SPEEDUP = 3.0
 #: Contract minimum for the trace planner's one cross-workload plan over
 #: one plan per workload on a multi-timestep trace.
 MIN_PLAN_SPEEDUP = 1.5
-
-#: Contract minimum for the Numba-compiled backend over fused on VGG-16
-#: (ISSUE 6's contract). Only asserted when the JIT is active; the
-#: NumPy fallback is, by construction, the fused path itself.
-MIN_COMPILED_SPEEDUP = 3.0
 
 #: Timesteps the multi-timestep planner benchmark unrolls.
 PLAN_TIME_STEPS = 8
@@ -257,7 +248,8 @@ def _previous_record() -> dict | None:
 
 
 #: Machine-normalized speedup fields the regression guard understands;
-#: an entry carries whichever normalization is honest for its row.
+#: an entry carries whichever normalization is honest for its row (the
+#: store rows are normalized against a store-less fused run).
 SPEEDUP_FIELDS = ("speedup_vs_reference", "speedup_vs_fused")
 
 
@@ -396,27 +388,10 @@ def test_engine_throughput(results_dir, request, sharded_backend):
     repeats = 1 if quick else 3
     min_fused_speedup = MIN_VGG16_SPEEDUP * MIN_FUSED_SPEEDUP
 
-    # One warmed compiled backend for the whole grid: warmup (JIT
-    # compile / cache load) is a process-lifetime cost by design, so it
-    # is paid here once and excluded from the timed repetitions — that
-    # is exactly what the warmup() seam is for.
-    compiled_backend = CompiledBackend()
-    jit_active = compiled_backend.warmup()
-
     rows = []
-    payload = {
-        "quick": quick,
-        "tile_m": TILE_M,
-        "tile_k": TILE_K,
-        "compiled_jit_active": jit_active,
-    }
+    payload = {"quick": quick, "tile_m": TILE_M, "tile_k": TILE_K}
     trajectory = []
     fused_speedups = {}
-    compiled_speedups = {}
-    # Fallback rows are honest but not comparable to JIT rows: key them
-    # separately in the trajectory so the regression guard never
-    # compares a NumPy fallback against a native-kernel baseline.
-    compiled_key = "compiled" if jit_active else "compiled[fallback]"
     for model, dataset in grid:
         trace = get_trace(model, dataset, preset="small")
         workload = f"{model}/{dataset}"
@@ -426,47 +401,34 @@ def test_engine_throughput(results_dir, request, sharded_backend):
         reference_records = _reference_records(trace)
         fused_run = _engine_run("fused")
         sharded_run = _engine_run(sharded_backend)
-        compiled_run = _engine_run(compiled_backend)
         fused_report = fused_run(trace)
         _check_records(fused_report, reference_records, f"fused:{workload}")
         shard_report = sharded_run(trace)
         _check_records(shard_report, reference_records, f"sharded:{workload}")
-        compiled_report = compiled_run(trace)
-        _check_records(compiled_report, reference_records, f"compiled:{workload}")
-        assert compiled_report.jit_active is jit_active
 
         ref_seconds = _best_of(lambda: _reference_records(trace), repeats)
         fused_seconds = _best_of(lambda: fused_run(trace), repeats)
         shard_seconds = _best_of(lambda: sharded_run(trace), repeats)
-        compiled_seconds = _best_of(lambda: compiled_run(trace), repeats)
         if (model, dataset) == ("vgg16", "cifar10") and (
             ref_seconds / fused_seconds < min_fused_speedup
-            or (
-                jit_active
-                and fused_seconds / compiled_seconds < MIN_COMPILED_SPEEDUP
-            )
         ):
-            # Guard the contract asserts against a noisy neighbor: one
+            # Guard the contract assert against a noisy neighbor: one
             # re-measure with more repetitions before declaring failure.
             ref_seconds = _best_of(lambda: _reference_records(trace), repeats + 2)
             fused_seconds = _best_of(lambda: fused_run(trace), repeats + 2)
-            compiled_seconds = _best_of(lambda: compiled_run(trace), repeats + 2)
         tiles = fused_report.total_tiles
         seconds = {
             "reference": ref_seconds,
             "fused": fused_seconds,
             "sharded[2]": shard_seconds,
-            compiled_key: compiled_seconds,
         }
         fused_speedups[(model, dataset)] = ref_seconds / fused_seconds
-        compiled_speedups[(model, dataset)] = fused_seconds / compiled_seconds
         rows.append(
             [
                 workload,
                 tiles,
                 *(f"{tiles / s:,.0f}" for s in seconds.values()),
                 format_ratio(fused_speedups[(model, dataset)]),
-                format_ratio(compiled_speedups[(model, dataset)]),
             ]
         )
         payload[workload] = {
@@ -476,34 +438,28 @@ def test_engine_throughput(results_dir, request, sharded_backend):
                 for name, s in seconds.items()
             },
             "fused_speedup_vs_reference": fused_speedups[(model, dataset)],
-            "compiled_speedup_vs_fused": compiled_speedups[(model, dataset)],
             "plan_dedup_ratio": fused_report.dedup_ratio,
             "cache_hit_rate": fused_report.cache_hit_rate,
             "fused_profile": fused_report.profile,
-            "compiled_profile": compiled_report.profile,
         }
-        for name, s in seconds.items():
-            entry = {
+        trajectory.extend(
+            {
                 "workload": workload,
                 "backend": name,
                 "tiles": int(tiles),
                 "tiles_per_sec": tiles / s,
                 "speedup_vs_reference": ref_seconds / s,
             }
-            if name == compiled_key:
-                entry["speedup_vs_fused"] = fused_seconds / s
-            trajectory.append(entry)
+            for name, s in seconds.items()
+        )
 
     table = format_table(
         [
             "workload", "tiles", "ref t/s", "fused t/s", "shard2 t/s",
-            "comp t/s", "fused/ref", "comp/fused",
+            "fused/ref",
         ],
         rows,
-        title=(
-            "engine throughput — backend comparison (tiles/sec, "
-            f"compiled jit={'on' if jit_active else 'off: NumPy fallback'})"
-        ),
+        title="engine throughput — backend comparison (tiles/sec)",
     )
     save_result("engine_throughput", table)
     (results_dir / "engine_throughput.json").write_text(
@@ -516,19 +472,6 @@ def test_engine_throughput(results_dir, request, sharded_backend):
         f"fused backend speedup {fused_speedups[('vgg16', 'cifar10')]:.2f}x over "
         f"reference, below the {min_fused_speedup}x contract on VGG-16"
     )
-    if jit_active:
-        assert compiled_speedups[("vgg16", "cifar10")] >= MIN_COMPILED_SPEEDUP, (
-            "compiled backend speedup "
-            f"{compiled_speedups[('vgg16', 'cifar10')]:.2f}x over fused, "
-            f"below the {MIN_COMPILED_SPEEDUP}x contract on VGG-16"
-        )
-    else:
-        warnings.warn(
-            "compiled backend ran as the NumPy fallback (jit_active=False): "
-            f"the {MIN_COMPILED_SPEEDUP}x contract is only asserted where "
-            "numba is installed and REPRO_NO_JIT is unset",
-            stacklevel=1,
-        )
 
 
 def test_trace_planner_speedup(results_dir, request):

@@ -14,7 +14,7 @@ Layered public API:
 * :mod:`repro.arch` — the Prosperity accelerator simulator (PPU pipeline,
   memory system, 28 nm area/energy models).
 * :mod:`repro.engine` — batched, backend-pluggable execution engine
-  (trace planner, reference / fused / sharded / compiled backends,
+  (trace planner, reference / fused / sharded backends,
   content-hash forest cache).
 * :mod:`repro.baselines` — Eyeriss, PTB, SATO, MINT, Stellar, LoAS, A100.
 * :mod:`repro.analysis` — density studies, tiling DSE, cost trade-off.

@@ -52,6 +52,7 @@ from repro.api import (
 )
 from repro.api.client import ServeClient, ServeError
 from repro.engine import available_backends
+from repro.engine.backends import _REMOVED_BACKENDS
 from repro.engine.store import ResultStore, default_store_path
 from repro.server.protocol import RECORD_MODES
 from repro.workloads import PRESETS
@@ -91,6 +92,15 @@ _REMOVED_FLAGS = {
     "batch": "--batch was removed: the trace planner batches every workload "
     "of a run into one plan",
 }
+
+
+class _BackendChoices(tuple):
+    """``--backend`` choices: help lists the registered backends, and a
+    removed name gets through so config validation names its
+    replacement instead of argparse's bare ``invalid choice``."""
+
+    def __contains__(self, name) -> bool:
+        return super().__contains__(name) or name in _REMOVED_BACKENDS
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -284,13 +294,6 @@ def cmd_run(config: RunConfig, session: Session) -> str:
                 "\nstore: DEGRADED — persistent cache disabled for this "
                 "process, runs continue via the kernel path"
             )
-    if report.jit_active is not None:
-        footer += (
-            "\njit: active (numba kernels)"
-            if report.jit_active
-            else "\njit: inactive — NumPy fallback (install repro[compiled] "
-            "and unset REPRO_NO_JIT for native kernels)"
-        )
     footer += (
         f"\nplan: trace — {report.planned_tiles} tiles -> "
         f"{report.unique_tiles} unique "
@@ -733,7 +736,7 @@ def _add_workload_args(
 
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--backend", default=None, choices=available_backends(),
+        "--backend", default=None, choices=_BackendChoices(available_backends()),
         help="ProSparsity transform backend; results are identical, "
         "reference is the slow oracle (config default: fused)",
     )

@@ -2,14 +2,13 @@
 
 The engine is the throughput layer above :mod:`repro.core`: it chooses a
 :class:`~repro.engine.backends.Backend` (``reference`` oracle,
-tile-batched ``fused`` kernels — the default — multiprocess ``sharded``
-execution, or Numba-``compiled`` native kernels with a transparent NumPy
-fallback), batches whole-network traces, and caches per-tile forests by
-content hash. Every call runs through :mod:`repro.engine.planner`:
-cross-workload shape buckets, one global content dedup per bucket, and
-arena-backed buffers reused across runs. Every backend is bit-identical
-to the core transform; the engine only changes *how fast* the answer
-arrives.
+tile-batched ``fused`` kernels — the default — or multiprocess
+``sharded`` execution), batches whole-network traces, and caches
+per-tile forests by content hash. Every call runs through
+:mod:`repro.engine.planner`: cross-workload shape buckets, one global
+content dedup per bucket, and arena-backed buffers reused across runs.
+Every backend is bit-identical to the core transform; the engine only
+changes *how fast* the answer arrives.
 """
 
 from repro.engine.backends import (
@@ -20,7 +19,6 @@ from repro.engine.backends import (
     get_backend,
     register_backend,
 )
-from repro.engine.compiled import CompiledBackend
 from repro.engine.faults import FaultInjected, FaultPlan, FaultSpec
 from repro.engine.fused import FusedBackend
 from repro.engine.parallel import PoolBrokenError, ShardedBackend
@@ -46,7 +44,6 @@ __all__ = [
     "BatchAccount",
     "BufferArena",
     "DEFAULT_BACKEND",
-    "CompiledBackend",
     "FaultInjected",
     "FaultPlan",
     "FaultSpec",

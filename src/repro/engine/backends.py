@@ -8,13 +8,11 @@ delegates to the per-tile/per-row code in :mod:`repro.core.forest` and
 :mod:`repro.core.prosparsity`. Slow but simple, it is the correctness
 oracle every other backend is tested against.
 
-Three more backends register themselves on import of :mod:`repro.engine`:
+Two more backends register themselves on import of :mod:`repro.engine`:
 ``fused`` (:mod:`repro.engine.fused` — tile-batched packed-code kernels,
-the default), ``sharded`` (:mod:`repro.engine.parallel` — multiprocess
-tile-batch sharding), and ``compiled`` (:mod:`repro.engine.compiled` —
-Numba-JIT native kernels over the same seam, NumPy fallback when the
-optional extra is absent). Every backend produces bit-identical forests,
-tile records, and (for integer weights) GeMM outputs.
+the default) and ``sharded`` (:mod:`repro.engine.parallel` —
+multiprocess tile-batch sharding). Every backend produces bit-identical
+forests, tile records, and (for integer weights) GeMM outputs.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ __all__ = [
 DEFAULT_BACKEND = "fused"
 
 #: Removed backend names and the backend that replaced each.
-_REMOVED_BACKENDS = {"vectorized": "fused"}
+_REMOVED_BACKENDS = {"compiled": "fused", "vectorized": "fused"}
 
 
 class Backend(ABC):
@@ -58,21 +56,6 @@ class Backend(ABC):
     """
 
     name: str = "abstract"
-
-    #: Profile stages this backend books beyond the planner's
-    #: (``PLANNED_PROFILE_STAGES``); reports carry them even when zero.
-    profile_stages: tuple[str, ...] = ()
-
-    @classmethod
-    def availability(cls) -> str | None:
-        """Install/availability note for this backend, or ``None``.
-
-        Backends gated on optional dependencies (``compiled`` on numba)
-        override this to report their install status; the note is
-        rendered next to the name in :func:`unknown_backend_error` so a
-        typo'd ``--backend`` flag doubles as an availability listing.
-        """
-        return None
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
@@ -146,22 +129,16 @@ def register_backend(cls: type[Backend]) -> type[Backend]:
 def unknown_backend_error(backend: str) -> ValueError:
     """The canonical unknown-backend error, shared by every entry point.
 
-    Backends with an optional-dependency gate annotate their entry with
-    :meth:`Backend.availability`, e.g. ``compiled (numba not installed,
-    runs as NumPy fallback)``, so the error doubles as an availability
-    listing.
+    A removed backend's name gets an error naming its replacement.
     """
     if backend in _REMOVED_BACKENDS:
         return ValueError(
             f"backend {backend!r} was removed; use "
             f"{_REMOVED_BACKENDS[backend]!r}, which gives bit-identical records"
         )
-    entries = []
-    for name in available_backends():
-        note = _BACKENDS[name].availability()
-        entries.append(f"{name} ({note})" if note else name)
     return ValueError(
-        f"unknown backend {backend!r}; available: {', '.join(entries)}"
+        f"unknown backend {backend!r}; "
+        f"available: {', '.join(available_backends())}"
     )
 
 

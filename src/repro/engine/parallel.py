@@ -22,8 +22,7 @@ backend discards the broken pool, rebuilds it within a bounded budget
 (``max_rebuilds``), and re-dispatches the shards — the retried result is
 bit-identical because shard inputs are pure functions of the stack.
 When the budget is exhausted it either degrades to the in-process fused
-path (``degrade=True``, mirroring the ``compiled`` backend's
-``jit_active=False`` fallback) or raises :class:`PoolBrokenError`.
+path (``degrade=True``) or raises :class:`PoolBrokenError`.
 """
 
 from __future__ import annotations

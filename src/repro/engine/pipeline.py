@@ -219,8 +219,8 @@ class BatchAccount:
     engine. ``elapsed`` is the batch's plan+execute wall-clock (lock
     wait excluded) and ``profile`` its stage seconds, nested inside
     ``elapsed``. Accounts add up (``a + b``): times and counts sum,
-    while the states ``store_active``/``degraded``/``jit_active`` keep
-    the later batch's value — a stream's report is the sum of its
+    while the states ``store_active``/``degraded`` keep the later
+    batch's value — a stream's report is the sum of its
     windows' accounts.
     """
 
@@ -240,7 +240,6 @@ class BatchAccount:
     pool_rebuilds: int = 0
     retries: int = 0
     degraded: bool | None = None
-    jit_active: bool | None = None
 
     def __add__(self, other: "BatchAccount") -> "BatchAccount":
         profile = dict(self.profile)
@@ -300,10 +299,8 @@ class EngineReport:
     packing, padding), ``plan`` (bucket merge / arena fill), ``dedup``
     (global content dedup + cache traffic), ``select`` (prefix selection
     kernels / worker dispatch), ``record`` (residual popcounts, depths,
-    record assembly), and ``scatter`` (per-workload scatter-back); the
-    ``compiled`` backend adds ``warmup`` (one-time JIT compilation /
-    cache load, paid by the first dispatch in the process). Stage times
-    nest inside the batch's own wall-clock, which is measured under the
+    record assembly), and ``scatter`` (per-workload scatter-back). Stage
+    times nest inside the batch's own wall-clock, which is measured under the
     planner lock and excludes lock wait. :attr:`total_seconds` is that
     wall-clock apportioned to this report's workloads, so stage times
     sum to at most it — except in a coalesced scheduler batch, where
@@ -327,18 +324,14 @@ class EngineReport:
     plan: str = "trace"
     planned_tiles: int = 0
     unique_tiles: int = 0
-    #: ``compiled`` backend only: True when records came from the JIT
-    #: kernel, False when it fell back to the fused NumPy path; ``None``
-    #: for backends without a JIT notion.
-    jit_active: bool | None = None
     #: Supervision deltas for this run (``sharded`` backend): worker
     #: pools rebuilt after ``BrokenProcessPool`` and kernel dispatches
     #: retried during the run. Zero for unsupervised backends.
     pool_rebuilds: int = 0
     retries: int = 0
     #: ``sharded`` only: True once the rebuild budget was exhausted and
-    #: the backend fell back to the in-process fused path (mirrors
-    #: ``jit_active`` semantics); ``None`` for unsupervised backends.
+    #: the backend fell back to the in-process fused path; ``None`` for
+    #: unsupervised backends.
     degraded: bool | None = None
     #: Persistent-store deltas for this run (engines with a
     #: :class:`~repro.engine.store.ResultStore` attached): durable
@@ -400,8 +393,8 @@ class ProsperityEngine:
     Parameters
     ----------
     backend:
-        Backend name (``"reference"`` / ``"fused"`` / ``"sharded"`` /
-        ``"compiled"``) or instance.
+        Backend name (``"reference"`` / ``"fused"`` / ``"sharded"``) or
+        instance.
     cache_size:
         LRU capacity in distinct tile contents; ``0`` disables caching.
     workers:
@@ -509,9 +502,7 @@ class ProsperityEngine:
                 totals.update(store.counters())
             return totals
 
-        profile = {
-            stage: 0.0 for stage in (*PLANNED_PROFILE_STAGES, *backend.profile_stages)
-        }
+        profile = dict.fromkeys(PLANNED_PROFILE_STAGES, 0.0)
         with self.planner.exclusive():
             before = counters()
             start = time.perf_counter()
@@ -533,9 +524,6 @@ class ProsperityEngine:
             unique_tiles=plan.unique_tiles,
             store_active=store.enabled if store is not None else None,
             degraded=after.get("degraded"),
-            # Read after the batch: a failed first JIT dispatch degrades
-            # the compiled backend to its fallback mid-batch.
-            jit_active=getattr(backend, "jit_active", None),
             **{name: after[name] - before[name] for name in _SUMMED if name in after},
         )
         return per_workload, account

@@ -288,12 +288,17 @@ class TestRemovedSettings:
         with pytest.raises(ValueError, match="plan 'matrix' was removed.*'trace'"):
             ProsperityEngine(plan="matrix")
 
-    def test_vectorized_backend_points_to_fused(self):
-        match = "backend 'vectorized' was removed; use 'fused'"
-        with pytest.raises(ValueError, match=match):
-            RunConfig().with_overrides({"engine.backend": "vectorized"})
-        with pytest.raises(ValueError, match=match):
-            ProsperityEngine(backend="vectorized")
+    def test_vectorized_backend_points_to_fused(self, tmp_path):
+        for name in ("compiled", "vectorized"):
+            match = f"backend '{name}' was removed; use 'fused'"
+            with pytest.raises(ValueError, match=match):
+                RunConfig().with_overrides({"engine.backend": name})
+            with pytest.raises(ValueError, match=match):
+                ProsperityEngine(backend=name)
+            path = tmp_path / f"{name}.toml"
+            path.write_text(f'[engine]\nbackend = "{name}"\n')
+            with pytest.raises(ValueError, match=match):
+                RunConfig.from_file(path)
 
 
 class TestOverrides:

@@ -89,8 +89,7 @@ class TestCoalescing:
 
     @pytest.mark.parametrize(
         "backend,workers",
-        [("reference", None), ("compiled", None), ("fused", None),
-         ("sharded", 1), ("sharded", 2)],
+        [("reference", None), ("fused", None), ("sharded", 1), ("sharded", 2)],
     )
     def test_coalesced_bit_identical_every_backend(self, backend, workers):
         """Acceptance: coalesced == serial for every backend/worker count."""

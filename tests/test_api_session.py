@@ -219,7 +219,7 @@ class TestCloseIdempotency:
         backend = ShardedBackend(workers=2)
         backend.close()
         backend.close()
-        for name in ("reference", "fused", "compiled"):
+        for name in ("reference", "fused"):
             plain = get_backend(name)
             plain.close()
             plain.close()

@@ -122,8 +122,12 @@ class TestConfigPrecedence:
             build_config(["run", "--set", "engine.plan=matrix"])
 
     def test_removed_vectorized_backend_names_fused(self):
-        with pytest.raises(SystemExit, match="'vectorized' was removed; use 'fused'"):
-            build_config(["run", "--set", "engine.backend=vectorized"])
+        for name in ("compiled", "vectorized"):
+            for argv in (["--set", f"engine.backend={name}"], ["--backend", name]):
+                with pytest.raises(
+                    SystemExit, match=f"'{name}' was removed; use 'fused'"
+                ):
+                    build_config(["run", *argv])
 
     def test_missing_config_file_exits_cleanly(self):
         with pytest.raises(SystemExit, match="repro: error: --config"):

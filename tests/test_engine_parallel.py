@@ -369,3 +369,12 @@ class TestCliSharded:
         assert "backend=sharded" in out
         assert "workers: 2" in out
         assert "profile:" in out
+
+    def test_cli_rejects_workers_for_fused(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="does not accept"):
+            main(
+                ["run", "--model", "lenet5", "--dataset", "mnist",
+                 "--backend", "fused", "--workers", "2"]
+            )
